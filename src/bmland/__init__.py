@@ -29,7 +29,6 @@ from .instances import (
 )
 from .completion import CompletionResult, solve_by_propagation
 from .landscape import (
-    HessianOperator,
     LossSpec,
     canonicalize,
     dense_hessian,
@@ -91,7 +90,6 @@ __all__ = [
     "random_block_factor",
     "CompletionResult",
     "solve_by_propagation",
-    "HessianOperator",
     "LossSpec",
     "canonicalize",
     "dense_hessian",

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .graphs import BlockSparsityGraph, analyze_graph, induce_measurement_set
 from .instances import McInstance, assemble_instance, build_canonical_ground_truth, perturb
-from .landscape import LossSpec, canonicalize, gradient, min_hessian_eigen, objective
+from .landscape import LossSpec, canonicalize
 from .optimize import (
     Classification,
     ClassifyTols,
@@ -116,10 +116,10 @@ def multistart_census(
     X0 = sample_radial_init(
         dist, inst.n, inst.r, seed, sigma=sigma, radius=radius, size=n_starts
     )
-    X, _, _, _, status = run_batch_chunked(inst, loss, X0, cfg, threads=threads)
-    converged = [i for i in range(n_starts) if status[i] == Status.CONVERGED]
+    res = run_batch_chunked(inst, loss, X0, cfg, threads=threads)
+    converged = [i for i in range(n_starts) if res.status[i] == Status.CONVERGED]
 
-    canon = [canonicalize(X[i]) for i in converged]
+    canon = [canonicalize(res.points[i]) for i in converged]
     coarse = _cluster(canon, COARSE_RADIUS)
 
     refined: list[np.ndarray] = []
@@ -136,19 +136,15 @@ def multistart_census(
     records: list[CriticalPointRecord] = []
     for group in _cluster(refined, dedup_radius):
         rep = refined[group[0]]
-        hits = sum(sizes[g] for g in group)
-        gn = float(np.linalg.norm(gradient(inst, loss, rep)))
-        subspace = "lower_triangular_tangent" if inst.r > 1 else "full"
-        lam_min, _ = min_hessian_eigen(inst, loss, rep, subspace)
-        kind = classify_critical_point(inst, loss, rep, classify_tols)
+        verdict = classify_critical_point(inst, loss, rep, classify_tols)
         records.append(
             CriticalPointRecord(
                 canonical_rep=rep,
-                objective=float(objective(inst, loss, rep)),
-                grad_norm=gn,
-                lambda_min=float(lam_min),
-                classification=kind,
-                hit_count=hits,
+                objective=verdict.objective,
+                grad_norm=verdict.grad_norm,
+                lambda_min=verdict.lambda_min,
+                classification=verdict.kind,
+                hit_count=sum(sizes[g] for g in group),
             )
         )
     records.sort(key=lambda rec: (rec.objective, rec.canonical_rep.tobytes()))
@@ -276,9 +272,9 @@ def success_rate_experiment(
         X0 = sample_radial_init(
             spec.dist, spec.n, spec.r, int(seeds[2 * k + 1]), size=spec.trials
         )
-        X, _, _, _, status = run_batch_chunked(inst, LossSpec.l2(), X0, cfg, threads=threads)
-        converged = np.array([s == Status.CONVERGED for s in status], dtype=bool)
-        ok = is_success_batch(inst, X) & converged
+        res = run_batch_chunked(inst, LossSpec.l2(), X0, cfg, threads=threads)
+        converged = np.array([s == Status.CONVERGED for s in res.status], dtype=bool)
+        ok = is_success_batch(inst, res.points) & converged
         successes = int(np.sum(ok))
         lo, hi = wilson_interval(successes, spec.trials)
         table.rows.append(
@@ -338,7 +334,7 @@ def equal_probability_test(
     keys = sorted(minima)
     targets = np.stack([minima[k] for k in keys])  # (C, n, 1)
     X0 = sample_radial_init("gaussian", inst.n, inst.r, seed, size=trials)
-    X, _, _, _, _ = run_batch_chunked(inst, LossSpec.l2(), X0, cfg or GdConfig(), threads=threads)
+    X = run_batch_chunked(inst, LossSpec.l2(), X0, cfg or GdConfig(), threads=threads).points
     diff = X[:, None] - targets[None]
     dists = np.sqrt(np.einsum("bcir,bcir->bc", diff, diff))
     nearest = np.argmin(dists, axis=1)

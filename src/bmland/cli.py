@@ -201,6 +201,7 @@ def _cmd_census(cfg, args, seed, threads):
         cfg=_gd_config(cfg),
         dist=require(cfg, "dist", str, default="gaussian"),
         sigma=require(cfg, "sigma", float, default=1.0),
+        radius=require(cfg, "radius", float, default=1.0),
         dedup_radius=require(cfg, "dedup_radius", float, default=1e-4),
         threads=threads,
     )

@@ -83,38 +83,48 @@ class BlockSparsityGraph:
         )
 
 
-@dataclass
 class MeasurementSet:
-    """Symmetric set of observed (i, j) entries of an n x n matrix (1-based)."""
+    """Symmetric set of observed entries of an n x n matrix, held as a
+    read-only 0/1 mask; ``entries`` lists them 1-based."""
 
-    n: int
-    r: int
-    entries: frozenset
+    def __init__(self, n: int, r: int, mask: np.ndarray):
+        mask = np.array(mask, dtype=bool)
+        if mask.shape != (n, n):
+            raise InvalidParams(f"mask shape {mask.shape} != ({n}, {n})")
+        asym = np.argwhere(mask & ~mask.T)
+        if asym.size:
+            i, j = asym[0] + 1
+            raise InvalidParams(f"entry ({i},{j}) present without ({j},{i})")
+        # Kernels multiply by the mask, and a float factor is cheaper there
+        # than a boolean one.
+        self.n, self.r, self._mask = n, r, mask.astype(float)
+        self._mask.setflags(write=False)
 
-    def __post_init__(self):
-        self.entries = frozenset(self.entries)
-        for (i, j) in self.entries:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise InvalidParams(f"entry ({i},{j}) outside [1,{self.n}]^2")
-            if (j, i) not in self.entries:
-                raise InvalidParams(f"entry ({i},{j}) present without ({j},{i})")
-        self._mask = None
+    @classmethod
+    def from_entries(cls, n: int, r: int, entries) -> "MeasurementSet":
+        """Measurement set from 1-based (i, j) pairs, as stored on disk."""
+        pairs = sorted(entries)
+        ij = np.array(pairs, dtype=int).reshape(len(pairs), 2)
+        outside = ij[((ij < 1) | (ij > n)).any(axis=1)]
+        if outside.size:
+            raise InvalidParams(f"entry ({outside[0, 0]},{outside[0, 1]}) outside [1,{n}]^2")
+        mask = np.zeros((n, n), dtype=bool)
+        mask[ij[:, 0] - 1, ij[:, 1] - 1] = True
+        return cls(n, r, mask)
 
     def mask(self) -> np.ndarray:
-        """0/1 mask, built lazily and cached."""
-        if self._mask is None:
-            w = np.zeros((self.n, self.n))
-            for (i, j) in self.entries:
-                w[i - 1, j - 1] = 1.0
-            w.setflags(write=False)
-            self._mask = w
         return self._mask
 
+    @property
+    def entries(self) -> frozenset:
+        return frozenset(map(tuple, self.to_json()))
+
     def __len__(self):
-        return len(self.entries)
+        return int(np.count_nonzero(self._mask))
 
     def to_json(self) -> list:
-        return sorted(list(e) for e in self.entries)
+        """Sorted 1-based [i, j] pairs."""
+        return (np.argwhere(self._mask) + 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -388,12 +398,8 @@ def induce_measurement_set(g: BlockSparsityGraph, n: int, r: int) -> Measurement
     if mr < n:
         w[mr:, :] = True
         w[:, mr:] = True
-    entries = frozenset(
-        (int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(w))
-    )
-    return MeasurementSet(n=n, r=r, entries=entries)
+    return MeasurementSet(n, r, w)
 
 
 def full_measurement_set(n: int, r: int = 1) -> MeasurementSet:
-    entries = frozenset((i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-    return MeasurementSet(n=n, r=r, entries=entries)
+    return MeasurementSet(n, r, np.ones((n, n), dtype=bool))

@@ -140,30 +140,8 @@ def dense_hessian(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray
 def tangent_indices(n: int, r: int) -> np.ndarray:
     """Row-major vec indices of the lower-triangular tangent subspace (entries
     (i, a) with i < a among the first r rows removed)."""
-    keep = []
-    for i in range(n):
-        for a in range(r):
-            if not (i < a):
-                keep.append(i * r + a)
-    return np.asarray(keep, dtype=int)
-
-
-class HessianOperator:
-    """Hessian at a fixed base point; the residual is built once."""
-
-    def __init__(self, inst: McInstance, loss: LossSpec, X: np.ndarray):
-        self.inst = inst
-        self.loss = loss
-        self.X = _check_shape(inst, X)
-        self._dense = None
-
-    def quadratic_form(self, delta: np.ndarray) -> float:
-        return hessian_quadratic(self.inst, self.loss, self.X, delta)
-
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = dense_hessian(self.inst, self.loss, self.X)
-        return self._dense
+    i, a = np.divmod(np.arange(n * r), r)
+    return np.nonzero(i >= a)[0]
 
 
 def min_hessian_eigen(

@@ -11,6 +11,7 @@ that none exists.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotNearCritical, SingularHessian
 from .instances import McInstance
 from .landscape import LossSpec, canonicalize
-from .optimize import GdConfig, Status, newton_refine, run_batch_chunked, sample_radial_init
+from .optimize import GdConfig, Status, _sq_norms, descend_batch, newton_refine
+from .optimize import run_batch_chunked, sample_radial_init
 
 RHO_ROUNDS = 5
 RHO_GROWTH = 10.0
@@ -46,60 +48,49 @@ class MetricBudget:
             raise DimensionMismatch("need restarts >= 2 and iters >= 1")
 
 
-def _terms(inst: McInstance, x1: np.ndarray, x2: np.ndarray):
+def _terms(inst: McInstance, Z: np.ndarray):
+    """Fit residual, on-support mismatch, full Gram difference and its norm
+    for a (P, n, 2r) stack of pairs Z = [X1 | X2]."""
+    r = inst.r
+    X1, X2 = Z[..., :r], Z[..., r:]
     W = inst.omega.mask()
-    M = inst.m_star()
-    g1, g2 = x1 @ x1.T, x2 @ x2.T
-    r0 = (g1 - M) * W
-    r2 = (g1 - g2) * W
-    delta = g1 - g2
-    return r0, r2, delta
+    g1 = X1 @ X1.swapaxes(-1, -2)
+    delta = g1 - X2 @ X2.swapaxes(-1, -2)
+    r0 = (g1 - inst.m_star()) * W
+    r2 = delta * W
+    return X1, X2, r0, r2, delta, np.sqrt(_sq_norms(delta))
 
 
-def _penalty_value(inst, x1, x2, w0, rho, rho_sep, separation):
-    r0, r2, delta = _terms(inst, x1, x2)
-    d = float(np.linalg.norm(delta))
-    gap = max(separation - d, 0.0)
-    val = float(w0 * np.sum(r0 * r0) + rho * np.sum(r2 * r2)) + rho_sep * gap * gap
-    return val, d
+@dataclass(frozen=True)
+class _PairPenalty:
+    """w0 ||r0||^2 + rho ||r2||^2 + rho_sep max(separation - d, 0)^2, batched
+    over a (P, n, 2r) stack of pairs."""
 
+    inst: McInstance
+    w0: float
+    rho: float
+    rho_sep: float
+    separation: float
 
-def _penalty_grad(inst, x1, x2, w0, rho, rho_sep, separation):
-    r0, r2, delta = _terms(inst, x1, x2)
-    d = float(np.linalg.norm(delta))
-    g1 = w0 * 4.0 * (r0 @ x1) + rho * 4.0 * (r2 @ x1)
-    g2 = -rho * 4.0 * (r2 @ x2)
-    gap = separation - d
-    if gap > 0 and d > 0:
-        coef = 2.0 * rho_sep * gap / d
-        g1 -= coef * 2.0 * (delta @ x1)
-        g2 += coef * 2.0 * (delta @ x2)
-    return g1, g2
+    def value(self, Z: np.ndarray) -> np.ndarray:
+        _, _, r0, r2, _, d = _terms(self.inst, Z)
+        gap = np.maximum(self.separation - d, 0.0)
+        return self.w0 * _sq_norms(r0) + self.rho * _sq_norms(r2) + self.rho_sep * gap * gap
 
+    def grad(self, Z: np.ndarray) -> np.ndarray:
+        X1, X2, r0, r2, delta, d = _terms(self.inst, Z)
+        gap = np.maximum(self.separation - d, 0.0)
+        coef = np.divide(2.0 * self.rho_sep * gap, d, out=np.zeros_like(d), where=d > 0)
+        A = 4.0 * self.rho * r2 - 2.0 * coef[:, None, None] * delta
+        return np.concatenate([(4.0 * self.w0 * r0 + A) @ X1, -A @ X2], axis=-1)
 
-def _minimize_pair(inst, x1, x2, w0, rho, rho_sep, separation, iters, grad_tol):
-    """Monotone gradient descent on the pair penalty with step halving."""
-    val, _ = _penalty_value(inst, x1, x2, w0, rho, rho_sep, separation)
-    step = 0.25 / (4.0 * (w0 + rho) * (inst.omega_scale() + 3.0 * max(
-        1.0, float(np.sum(x1 * x1)), float(np.sum(x2 * x2)))))
-    since_ok = 0
-    for _ in range(iters):
-        g1, g2 = _penalty_grad(inst, x1, x2, w0, rho, rho_sep, separation)
-        gn = float(np.sqrt(np.sum(g1 * g1) + np.sum(g2 * g2)))
-        if gn <= grad_tol:
-            break
-        c1, c2 = x1 - step * g1, x2 - step * g2
-        cval, _ = _penalty_value(inst, c1, c2, w0, rho, rho_sep, separation)
-        if cval <= val:
-            x1, x2, val = c1, c2, cval
-            since_ok += 1
-            if since_ok >= 50:
-                step *= 1.2
-                since_ok = 0
-        else:
-            step *= 0.5
-            since_ok = 0
-    return x1, x2
+    def descend(self, Z: np.ndarray, iters: int, grad_tol: float) -> np.ndarray:
+        """Monotone descent of every pair from a step set by its start."""
+        r = self.inst.r
+        sizes = np.maximum(_sq_norms(Z[..., :r]), _sq_norms(Z[..., r:]))
+        scale = self.inst.omega_scale() + 3.0 * np.maximum(sizes, 1.0)
+        steps0 = 0.25 / (4.0 * (self.w0 + self.rho) * scale)
+        return descend_batch(self.value, self.grad, Z, steps0, iters, grad_tol, np.inf).points
 
 
 def _endpoint_candidates(inst, budget, seed, threads):
@@ -107,12 +98,11 @@ def _endpoint_candidates(inst, budget, seed, threads):
     larger restart budget extends (never reshuffles) the candidate list."""
     loss = LossSpec.l2()
     X0 = sample_radial_init("gaussian", inst.n, inst.r, seed, size=budget.restarts)
-    X, _, _, _, status = run_batch_chunked(inst, loss, X0, GdConfig(), threads=threads)
+    res = run_batch_chunked(inst, loss, X0, GdConfig(), threads=threads)
     reps = []
-    for i in range(budget.restarts):
-        if status[i] != Status.CONVERGED:
+    for x, status in zip(res.points, res.status):
+        if status != Status.CONVERGED:
             continue
-        x = X[i]
         try:
             x = newton_refine(inst, loss, x)
         except (NotNearCritical, SingularHessian):
@@ -141,36 +131,29 @@ def estimate_complexity_metric(
 
     reps = _endpoint_candidates(inst, budget, seed, threads)
     best = MetricEstimate(value=None, witness_pair=None, separation_achieved=None)
+    if len(reps) < 2:
+        return best
+    rounds = [(1.0, RHO_GROWTH**k, RHO_GROWTH**k) for k in range(1, RHO_ROUNDS + 1)]
+    # Feasibility polish: drive the on-support mismatch to roundoff while the
+    # fit term is left out entirely.
+    rounds.append((0.0, 1.0, 1.0))
+    pairs = itertools.combinations(reps, 2)
+    snapshots = [np.stack([np.concatenate(pair, axis=1) for pair in pairs])]
+    for w0, rho, rho_sep in rounds:
+        pen = _PairPenalty(inst, w0, rho, rho_sep, separation)
+        snapshots.append(pen.descend(snapshots[-1], budget.iters, grad_tol))
 
-    def consider(x1, x2):
-        nonlocal best
-        r0, r2, delta = _terms(inst, x1, x2)
-        d = float(np.linalg.norm(delta))
-        if float(np.linalg.norm(r2)) <= feas_tol and d >= separation:
-            value = float(np.linalg.norm(r0))
-            if best.value is None or value < best.value:
-                best = MetricEstimate(
-                    value=value,
-                    witness_pair=(x1.copy(), x2.copy()),
-                    separation_achieved=d,
-                )
-
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            x1, x2 = reps[i].copy(), reps[j].copy()
-            consider(x1, x2)
-            rho, rho_sep = RHO_GROWTH, RHO_GROWTH
-            for _ in range(RHO_ROUNDS):
-                x1, x2 = _minimize_pair(
-                    inst, x1, x2, 1.0, rho, rho_sep, separation, budget.iters, grad_tol
-                )
-                consider(x1, x2)
-                rho *= RHO_GROWTH
-                rho_sep *= RHO_GROWTH
-            # Feasibility polish: drive the on-support mismatch to roundoff
-            # while the fit term is left out entirely.
-            x1, x2 = _minimize_pair(
-                inst, x1, x2, 0.0, 1.0, 1.0, separation, budget.iters, grad_tol
-            )
-            consider(x1, x2)
+    # Pair-major order, as if each pair had run all its rounds alone: the
+    # first of equal values is the earlier pair and round.
+    Z = np.stack(snapshots, axis=1).reshape(-1, inst.n, 2 * inst.r)
+    X1, X2, r0, r2, _, d = _terms(inst, Z)
+    feasible = (np.sqrt(_sq_norms(r2)) <= feas_tol) & (d >= separation)
+    values = np.where(feasible, np.sqrt(_sq_norms(r0)), np.inf)
+    k = int(np.argmin(values))
+    if feasible[k]:
+        best = MetricEstimate(
+            value=float(values[k]),
+            witness_pair=(X1[k].copy(), X2[k].copy()),
+            separation_achieved=float(d[k]),
+        )
     return best

@@ -1,17 +1,19 @@
 """Gradient descent on the factorized objective, radial initialization,
 Newton refinement, and critical-point classification.
 
-``gradient_descent_batch`` advances a stack of independent iterates in one
-vectorized loop; per-sample arithmetic is identical regardless of how the
-stack is chunked, which keeps experiment outputs bit-stable under any
-parallelism degree.
+``descend_batch`` is the one descent loop: it advances a stack of independent
+iterates of any batched value/gradient pair, and both the factorized
+objective (``gradient_descent_batch``) and the metric's pair penalty run
+through it. Per-sample arithmetic is identical regardless of how the stack is
+chunked, which keeps experiment outputs bit-stable under any parallelism
+degree.
 """
 
 from __future__ import annotations
 
 import enum
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,7 +24,6 @@ from .landscape import (
     canonicalize,
     dense_hessian,
     gradient,
-    min_hessian_eigen,
     objective,
     tangent_indices,
 )
@@ -106,51 +107,63 @@ def sample_radial_init(
     return out[0] if size is None else out
 
 
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    return np.einsum("bij,bij->b", X, X)
+
+
 def _auto_steps(inst: McInstance, X0: np.ndarray) -> np.ndarray:
     """Per-sample step from a crude local smoothness bound at the start."""
     scale = inst.omega_scale()
-    norms2 = np.einsum("bir,bir->b", X0, X0)
-    return 0.25 / (4.0 * (scale + 3.0 * np.maximum(norms2, 1.0)))
+    return 0.25 / (4.0 * (scale + 3.0 * np.maximum(_sq_norms(X0), 1.0)))
 
 
-def gradient_descent_batch(
-    inst: McInstance, loss: LossSpec, X0: np.ndarray, cfg: GdConfig
-):
-    """Explicit-Euler gradient descent on a (B, n, r) stack of iterates.
+@dataclass
+class BatchResult:
+    """Per-sample outcome of a batched descent, one entry per start."""
 
-    The objective is kept monotone per sample: a step that would increase it
-    is rejected and the sample's step size halved; steadily accepted samples
-    get a bounded step-size growth so late linear convergence is not
-    throttled by a conservative initial bound.
+    points: np.ndarray
+    values: np.ndarray
+    grad_norms: np.ndarray
+    iters: np.ndarray
+    status: np.ndarray
+
+
+def descend_batch(
+    value, grad, X0: np.ndarray, steps0: np.ndarray, max_iters: int, grad_tol: float,
+    divergence_bound: float,
+) -> BatchResult:
+    """Explicit-Euler gradient descent on a (B, n, k) stack of iterates, with
+    batched ``value`` (B,) and ``grad`` (B, n, k) and per-sample initial steps.
+
+    The value is kept monotone per sample: a step that would increase it is
+    rejected and the sample's step size halved; steadily accepted samples get
+    a bounded step-size growth so late linear convergence is not throttled by
+    a conservative initial bound. A sample's result does not depend on the
+    rest of the stack.
     """
-    X0 = np.asarray(X0, dtype=float)
-    if X0.ndim == 2:
-        X0 = X0[None]
     B = X0.shape[0]
-    cfg = cfg.resolved(inst, X0)
-    steps0 = np.full(B, cfg.step) if cfg.step is not None else _auto_steps(inst, X0)
     steps = steps0.copy()
 
     X = X0.copy()
-    f = np.atleast_1d(np.asarray(objective(inst, loss, X), dtype=float))
+    f = value(X)
     status = np.empty(B, dtype=object)
     status[:] = Status.MAX_ITERS
-    iters = np.full(B, cfg.max_iters, dtype=int)
+    iters = np.full(B, max_iters, dtype=int)
     grad_norms = np.zeros(B)
     active = np.ones(B, dtype=bool)
     since_growth = np.zeros(B, dtype=int)
     no_progress = np.zeros(B, dtype=int)
 
-    for it in range(cfg.max_iters):
+    for it in range(max_iters):
         if not active.any():
             break
         idx = np.nonzero(active)[0]
         Xa = X[idx]
-        G = gradient(inst, loss, Xa)
-        gn = np.sqrt(np.einsum("bir,bir->b", G, G))
+        G = grad(Xa)
+        gn = np.sqrt(_sq_norms(G))
         grad_norms[idx] = gn
 
-        done = gn <= cfg.grad_tol
+        done = gn <= grad_tol
         if done.any():
             d = idx[done]
             status[d] = Status.CONVERGED
@@ -162,7 +175,7 @@ def gradient_descent_batch(
             Xa, G = Xa[~done], G[~done]
 
         Xnew = Xa - steps[idx, None, None] * G
-        fnew = np.atleast_1d(np.asarray(objective(inst, loss, Xnew), dtype=float))
+        fnew = value(Xnew)
         increased = fnew > f[idx]
         improved = fnew < f[idx]
         ok = ~increased
@@ -172,7 +185,7 @@ def gradient_descent_batch(
         since_growth[ok_idx] += 1
         steps[idx[increased]] *= 0.5
         since_growth[idx[increased]] = 0
-        # Once the objective stops strictly decreasing for a long stretch, the
+        # Once the value stops strictly decreasing for a long stretch, the
         # iterate sits at the resolution floor of double precision; further
         # iterations cannot reach grad_tol, so the sample is cut off early.
         no_progress[idx] += 1
@@ -188,8 +201,7 @@ def gradient_descent_batch(
             steps[gidx] = np.minimum(steps[gidx] * STEP_GROWTH, STEP_GROWTH_CAP * steps0[gidx])
             since_growth[gidx] = 0
 
-        norms = np.sqrt(np.einsum("bir,bir->b", X[ok_idx], X[ok_idx]))
-        diverged = norms > cfg.divergence_bound
+        diverged = np.sqrt(_sq_norms(X[ok_idx])) > divergence_bound
         if diverged.any():
             d = ok_idx[diverged]
             status[d] = Status.DIVERGED
@@ -198,26 +210,38 @@ def gradient_descent_batch(
 
     still = np.nonzero(active)[0]
     if still.size:
-        G = gradient(inst, loss, X[still])
-        grad_norms[still] = np.sqrt(np.einsum("bir,bir->b", G, G))
-    f = np.atleast_1d(np.asarray(objective(inst, loss, X), dtype=float))
-    return X, f, grad_norms, iters, status
+        grad_norms[still] = np.sqrt(_sq_norms(grad(X[still])))
+    return BatchResult(X, value(X), grad_norms, iters, status)
+
+
+def gradient_descent_batch(
+    inst: McInstance, loss: LossSpec, X0: np.ndarray, cfg: GdConfig
+) -> BatchResult:
+    """``descend_batch`` on the factorized objective of ``inst``."""
+    X0 = np.asarray(X0, dtype=float)
+    if X0.ndim == 2:
+        X0 = X0[None]
+    cfg = cfg.resolved(inst, X0)
+    steps0 = np.full(X0.shape[0], cfg.step) if cfg.step is not None else _auto_steps(inst, X0)
+    # Looked up per call, so wrappers installed on these module names see each one.
+    return descend_batch(
+        lambda X: objective(inst, loss, X),
+        lambda X: gradient(inst, loss, X),
+        X0, steps0, cfg.max_iters, cfg.grad_tol, cfg.divergence_bound,
+    )
 
 
 def gradient_descent(
     inst: McInstance, loss: LossSpec, x0: np.ndarray, cfg: GdConfig | None = None
 ) -> RunResult:
-    cfg = cfg or GdConfig()
     x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 1:
-        x0 = x0[:, None]
-    X, f, gn, iters, status = gradient_descent_batch(inst, loss, x0[None], cfg)
+    res = gradient_descent_batch(inst, loss, x0.reshape(1, len(x0), -1), cfg or GdConfig())
     return RunResult(
-        final_point=X[0],
-        final_objective=float(f[0]),
-        final_grad_norm=float(gn[0]),
-        iterations=int(iters[0]),
-        status=status[0],
+        final_point=res.points[0],
+        final_objective=float(res.values[0]),
+        final_grad_norm=float(res.grad_norms[0]),
+        iterations=int(res.iters[0]),
+        status=res.status[0],
     )
 
 
@@ -236,7 +260,9 @@ def run_batch_chunked(inst, loss, X0, cfg, threads: int = 1, chunk_size: int = 4
                 for lo, hi in bounds
             ]
             parts = [fut.result() for fut in futures]
-    return tuple(np.concatenate([p[i] for p in parts]) for i in range(5))
+    return BatchResult(
+        *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(BatchResult))
+    )
 
 
 def _solve_newton_step(H: np.ndarray, g: np.ndarray, r: int, restricted: bool):
@@ -359,35 +385,45 @@ class ClassifyTols:
         return replace(self, global_tol=global_tol, eig_tol=eig_tol)
 
 
+@dataclass(frozen=True)
+class ClassifiedPoint:
+    """Verdict on a point with the quantities it rests on."""
+
+    kind: Classification
+    objective: float
+    grad_norm: float
+    lambda_min: float
+
+
 def classify_critical_point(
     inst: McInstance,
     loss: LossSpec,
     x: np.ndarray,
     tols: ClassifyTols | None = None,
-) -> Classification:
-    """First-order check, then spectral second-order classification. Rank-r
-    points are canonicalized and judged on the lower-triangular tangent."""
+) -> ClassifiedPoint:
+    """First-order check, then spectral second-order classification, from
+    one gradient, one dense Hessian and one eigensolve. The point is
+    canonicalized and judged on the lower-triangular tangent."""
     tols = tols or ClassifyTols()
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    # At r=1 this only flips signs, and the tangent is the whole space.
+    x = canonicalize(x)
     gn = float(np.linalg.norm(gradient(inst, loss, x)))
-    if gn > tols.crit_tol:
-        return Classification.NOT_CRITICAL
-    if inst.r > 1:
-        x = canonicalize(x)
-        lam_min, _ = min_hessian_eigen(inst, loss, x, "lower_triangular_tangent")
-    else:
-        lam_min, _ = min_hessian_eigen(inst, loss, x, "full")
     H = dense_hessian(inst, loss, x)
+    idx = tangent_indices(inst.n, inst.r)
+    lam_min = float(np.linalg.eigh(H[np.ix_(idx, idx)])[0][0])
+    f = float(objective(inst, loss, x))
     tols = tols.resolved(inst, H)
-    if objective(inst, loss, x) <= tols.global_tol:
-        return Classification.GLOBAL_MIN
-    if lam_min < -tols.eig_tol:
-        return Classification.STRICT_SADDLE
-    if lam_min > tols.eig_tol:
-        return Classification.SPURIOUS_LOCAL_MIN
-    return Classification.DEGENERATE
+    if gn > tols.crit_tol:
+        kind = Classification.NOT_CRITICAL
+    elif f <= tols.global_tol:
+        kind = Classification.GLOBAL_MIN
+    elif lam_min < -tols.eig_tol:
+        kind = Classification.STRICT_SADDLE
+    elif lam_min > tols.eig_tol:
+        kind = Classification.SPURIOUS_LOCAL_MIN
+    else:
+        kind = Classification.DEGENERATE
+    return ClassifiedPoint(kind=kind, objective=f, grad_norm=gn, lambda_min=lam_min)
 
 
 def is_success(inst: McInstance, x_hat: np.ndarray, rel_tol: float = 1e-4) -> bool:

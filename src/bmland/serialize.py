@@ -49,7 +49,7 @@ def instance_to_json(inst: McInstance) -> str:
         "n": inst.n,
         "r": inst.r,
         "x_star": inst.x_star.tolist(),
-        "omega": sorted(inst.omega.entries),
+        "omega": inst.omega.to_json(),
         "graph": None if inst.graph is None else inst.graph.to_json(),
         "s_vertices": None if inst.s_vertices is None else sorted(inst.s_vertices),
     }
@@ -62,9 +62,7 @@ def instance_from_json(text: str) -> McInstance:
         graph = None
         if doc.get("graph") is not None:
             graph = BlockSparsityGraph.from_json(doc["graph"])
-        omega = MeasurementSet(
-            n=doc["n"], r=doc["r"], entries=frozenset(tuple(e) for e in doc["omega"])
-        )
+        omega = MeasurementSet.from_entries(doc["n"], doc["r"], map(tuple, doc["omega"]))
         s = doc.get("s_vertices")
         return McInstance(
             n=doc["n"],

@@ -161,7 +161,7 @@ def test_criterion_06_uniform_basin_measure():
         assert rep.chi_square_p > 0.01, rep
         assert sum(rep.histogram.values()) == 16000
         zero = np.zeros((6, 1))
-        assert bmland.classify_critical_point(inst, L2, zero) == Classification.STRICT_SADDLE
+        assert bmland.classify_critical_point(inst, L2, zero).kind == Classification.STRICT_SADDLE
 
 
 def test_criterion_07_sign_equivariance():

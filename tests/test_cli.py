@@ -50,6 +50,17 @@ def test_census_with_lower_bound(tmp_path):
     assert {c["classification"] for c in doc["classes"]} == {"GlobalMin"}
 
 
+def test_census_honours_ball_radius(tmp_path):
+    written = []
+    for radius in (0.01, 3.0):
+        cfg = _write(tmp_path, f"r{radius}.json", _base_cfg(
+            gamma=0.2, n_starts=200, dist="ball", radius=radius))
+        out = tmp_path / f"r{radius}"
+        assert main(["census", "--config", cfg, "--out", str(out)]) == 0
+        written.append((out / "census.json").read_bytes())
+    assert written[0] != written[1]
+
+
 def test_check_reports_membership(tmp_path):
     cfg = _write(tmp_path, "k.json", _base_cfg(gamma=0.3))
     out = tmp_path / "out"

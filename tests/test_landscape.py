@@ -84,17 +84,6 @@ def test_dense_hessian_matches_quadratic_form():
         assert abs(quad - bmland.hessian_quadratic(inst, loss, X, d)) <= 1e-10 * max(abs(quad), 1.0)
 
 
-def test_hessian_operator_caches_dense():
-    inst = helpers.path_instance(4)
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((4, 1))
-    op = bmland.HessianOperator(inst, L2, X)
-    d = rng.standard_normal((4, 1))
-    quad = float(d.reshape(-1) @ op.dense() @ d.reshape(-1))
-    assert op.dense() is op.dense()
-    assert abs(quad - op.quadratic_form(d)) <= 1e-10 * max(abs(quad), 1.0)
-
-
 def test_orbit_invariance_of_objective():
     rng = np.random.default_rng(3)
     inst = helpers.star_rank2_instance(gamma=0.0)

@@ -3,6 +3,7 @@ import pytest
 
 import bmland
 from bmland.errors import DimensionMismatch
+from bmland.metric import _PairPenalty, _terms
 
 import helpers
 
@@ -45,3 +46,43 @@ def test_budget_validation():
     inst = helpers.path_instance(4)
     with pytest.raises(DimensionMismatch):
         bmland.estimate_complexity_metric(inst, bmland.MetricBudget(), separation=-1.0)
+
+
+def _random_pairs(inst, size, seed):
+    """(size, n, 2r) pairs and a separation that half of them fall short of."""
+    Z = np.random.default_rng(seed).standard_normal((size, inst.n, 2 * inst.r))
+    return Z, float(np.median(_terms(inst, Z)[-1]))
+
+
+@pytest.mark.parametrize("inst", [helpers.path_instance(5, 0.1, 3), helpers.star_rank2_instance()])
+def test_pair_penalty_gradient_finite_difference(inst):
+    Z, separation = _random_pairs(inst, 6, seed=4)
+    D = np.random.default_rng(5).standard_normal(Z.shape)
+    h = 1e-6
+    for w0, rho, rho_sep in ((1.0, 10.0, 100.0), (0.0, 1.0, 1.0)):
+        pen = _PairPenalty(inst, w0, rho, rho_sep, separation)
+        fd = (pen.value(Z + h * D) - pen.value(Z - h * D)) / (2 * h)
+        an = np.einsum("pij,pij->p", pen.grad(Z), D)
+        assert np.all(np.abs(fd - an) <= 1e-6 * np.maximum(np.abs(an), 1.0))
+
+
+def test_pair_descent_alone_matches_batch():
+    inst = helpers.path_instance(5, gamma=0.1, seed=3)
+    Z, separation = _random_pairs(inst, 5, seed=6)
+    # The polish penalty: these pairs converge after 124 to 861 steps, so the
+    # batch around each pair shrinks while it descends.
+    pen = _PairPenalty(inst, 0.0, 1.0, 1.0, separation)
+    batch = pen.descend(Z, 2000, 1e-10)
+    for p in range(len(Z)):
+        assert np.array_equal(pen.descend(Z[p : p + 1], 2000, 1e-10)[0], batch[p])
+
+
+def test_estimate_independent_of_threads():
+    inst = helpers.path_instance(4, gamma=0.1, seed=9)
+    one, two = (
+        bmland.estimate_complexity_metric(inst, bmland.MetricBudget(10, 800), seed=1, threads=t)
+        for t in (1, 2)
+    )
+    assert one.found and one.value == two.value
+    assert one.separation_achieved == two.separation_achieved
+    assert all(np.array_equal(a, b) for a, b in zip(one.witness_pair, two.witness_pair))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -71,12 +73,12 @@ def test_gd_config_validation():
 def test_batch_matches_single_runs():
     inst = helpers.path_instance(4, gamma=0.1, seed=7)
     X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=11, size=6)
-    X, f, gn, iters, status = bmland.gradient_descent_batch(inst, L2, X0, GdConfig())
+    batch = bmland.gradient_descent_batch(inst, L2, X0, GdConfig())
     for b in range(6):
         res = bmland.gradient_descent(inst, L2, X0[b])
-        assert np.array_equal(res.final_point, X[b])
-        assert res.final_objective == f[b]
-        assert res.status == status[b]
+        assert np.array_equal(res.final_point, batch.points[b])
+        assert res.final_objective == batch.values[b]
+        assert res.status == batch.status[b]
 
 
 def test_chunked_runner_invariant_to_threads():
@@ -84,8 +86,8 @@ def test_chunked_runner_invariant_to_threads():
     X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=64)
     a = run_batch_chunked(inst, L2, X0, GdConfig(), threads=1, chunk_size=16)
     b = run_batch_chunked(inst, L2, X0, GdConfig(), threads=4, chunk_size=16)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa, pb)
+    for field in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
 
 def test_newton_refine_polishes_gd_endpoint():
@@ -106,12 +108,12 @@ def test_newton_refine_rejects_far_point():
 
 def test_classification_of_known_points():
     inst = helpers.path_instance(4)
-    assert bmland.classify_critical_point(inst, L2, inst.x_star) == Classification.GLOBAL_MIN
+    assert bmland.classify_critical_point(inst, L2, inst.x_star).kind == Classification.GLOBAL_MIN
     zero = np.zeros((4, 1))
-    assert bmland.classify_critical_point(inst, L2, zero) == Classification.STRICT_SADDLE
+    assert bmland.classify_critical_point(inst, L2, zero).kind == Classification.STRICT_SADDLE
     rng = np.random.default_rng(0)
     assert (
-        bmland.classify_critical_point(inst, L2, rng.standard_normal((4, 1)))
+        bmland.classify_critical_point(inst, L2, rng.standard_normal((4, 1))).kind
         == Classification.NOT_CRITICAL
     )
 
@@ -121,7 +123,7 @@ def test_classification_stable_under_canonicalization():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     rotated = inst.x_star @ q
-    assert bmland.classify_critical_point(inst, L2, rotated) == Classification.GLOBAL_MIN
+    assert bmland.classify_critical_point(inst, L2, rotated).kind == Classification.GLOBAL_MIN
 
 
 def test_is_success_sign_and_orbit_invariance():

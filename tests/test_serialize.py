@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bmland
-from bmland.errors import IoError
+from bmland.errors import InvalidParams, IoError
 from bmland.serialize import (
     atomic_write_text,
     census_report_to_json,
@@ -53,6 +53,16 @@ def test_instance_json_roundtrip(tmp_path):
     path = tmp_path / "inst.json"
     save_instance(inst, str(path))
     assert load_instance(str(path)).omega.entries == inst.omega.entries
+
+
+def test_instance_json_rejects_bad_omega():
+    doc = json.loads(instance_to_json(helpers.path_instance(4)))
+    assert [1, 2] in doc["omega"]
+    out_of_range = dict(doc, omega=doc["omega"] + [[1, 5], [5, 1]])
+    asymmetric = dict(doc, omega=[e for e in doc["omega"] if e != [1, 2]])
+    for bad in (out_of_range, asymmetric):
+        with pytest.raises(InvalidParams):
+            instance_from_json(json.dumps(bad))
 
 
 def test_instance_json_rejects_malformed():
