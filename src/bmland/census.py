@@ -23,7 +23,6 @@ from .optimize import (
     Classification,
     ClassifyTols,
     GdConfig,
-    Status,
     classify_critical_point,
     is_success_batch,
     newton_refine,
@@ -75,18 +74,17 @@ class CensusReport:
         return total
 
 
-def _cluster(points: list[np.ndarray], radius: float) -> list[list[int]]:
-    """Greedy first-fit clustering in input order (deterministic)."""
-    reps: list[np.ndarray] = []
-    clusters: list[list[int]] = []
-    for i, p in enumerate(points):
-        for c, rep in enumerate(reps):
-            if np.linalg.norm(p - rep) <= radius:
-                clusters[c].append(i)
-                break
-        else:
-            reps.append(p)
-            clusters.append([i])
+def _cluster(points: np.ndarray, radius: float) -> list[np.ndarray]:
+    """Greedy first-fit clustering of a (K, n, r) stack in input order
+    (deterministic): each point joins the earliest representative within
+    ``radius``, and a point near none becomes the next representative."""
+    free = np.arange(len(points))
+    clusters = []
+    while free.size:
+        near = np.linalg.norm(points[free] - points[free[0]], axis=(-2, -1)) <= radius
+        near[0] = True  # even a NaN point, so every pass removes one
+        clusters.append(free[near])
+        free = free[~near]
     return clusters
 
 
@@ -117,21 +115,20 @@ def multistart_census(
         dist, inst.n, inst.r, seed, sigma=sigma, radius=radius, size=n_starts
     )
     res = run_batch_chunked(inst, loss, X0, cfg, threads=threads)
-    converged = [i for i in range(n_starts) if res.status[i] == Status.CONVERGED]
+    converged = res.converged
+    n_converged = int(np.count_nonzero(converged))
 
-    canon = [canonicalize(res.points[i]) for i in converged]
+    canon = canonicalize(res.points[converged])
     coarse = _cluster(canon, COARSE_RADIUS)
-
-    refined: list[np.ndarray] = []
-    sizes: list[int] = []
-    for group in coarse:
-        rep = canon[group[0]]
+    refined = canon[[group[0] for group in coarse]]
+    polished = {}
+    for k, rep in enumerate(refined):
         try:
-            rep = canonicalize(newton_refine(inst, loss, rep))
+            polished[k] = newton_refine(inst, loss, rep)
         except (NotNearCritical, SingularHessian):
             pass
-        refined.append(rep)
-        sizes.append(len(group))
+    if polished:
+        refined[list(polished)] = canonicalize(np.stack(list(polished.values())))
 
     records: list[CriticalPointRecord] = []
     for group in _cluster(refined, dedup_radius):
@@ -144,7 +141,7 @@ def multistart_census(
                 grad_norm=verdict.grad_norm,
                 lambda_min=verdict.lambda_min,
                 classification=verdict.kind,
-                hit_count=sum(sizes[g] for g in group),
+                hit_count=sum(len(coarse[g]) for g in group),
             )
         )
     records.sort(key=lambda rec: (rec.objective, rec.canonical_rep.tobytes()))
@@ -152,8 +149,8 @@ def multistart_census(
         classes=records,
         n_starts=n_starts,
         dedup_radius=dedup_radius,
-        n_converged=len(converged),
-        n_nonconverged=n_starts - len(converged),
+        n_converged=n_converged,
+        n_nonconverged=n_starts - n_converged,
     )
 
 
@@ -273,8 +270,7 @@ def success_rate_experiment(
             spec.dist, spec.n, spec.r, int(seeds[2 * k + 1]), size=spec.trials
         )
         res = run_batch_chunked(inst, LossSpec.l2(), X0, cfg, threads=threads)
-        converged = np.array([s == Status.CONVERGED for s in res.status], dtype=bool)
-        ok = is_success_batch(inst, res.points) & converged
+        ok = is_success_batch(inst, res.points) & res.converged
         successes = int(np.sum(ok))
         lo, hi = wilson_interval(successes, spec.trials)
         table.rows.append(

@@ -64,9 +64,6 @@ class BlockSparsityGraph:
                 adj[j].append(i)
         return adj
 
-    def with_e2(self, e2) -> "BlockSparsityGraph":
-        return BlockSparsityGraph(self.m, self.e1, frozenset(_norm(*e) for e in e2))
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
@@ -134,17 +131,6 @@ class GraphAnalysis:
     odd_cycle: tuple | None
     max_independent_set: frozenset
     all_mis_have_self_loops: bool
-
-
-PATTERNS = (
-    "example1_path",
-    "example2_even_cross",
-    "star",
-    "single_missing",
-    "cross",
-    "augmented_cross",
-    "single_missing_rank_r",
-)
 
 
 def build_named_pattern(name: str, **params) -> BlockSparsityGraph:

@@ -5,8 +5,9 @@ g(R) = ||R||_F^2, optionally plus the row-norm regularizer
 Q(X) = lambda * sum_i (||X_i|| - alpha)_+^4.
 
 All value/gradient routines broadcast over leading batch axes, so a stack of
-factors of shape (B, n, r) is processed in one call. Hessian routines operate
-on a single point.
+factors of shape (B, n, r) is processed in one call, and so do the orbit
+maps ``restriction_map`` and ``canonicalize``. Hessian routines operate on a
+single point.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _check_shape(inst: McInstance, X: np.ndarray) -> np.ndarray:
 def masked_residual(inst: McInstance, X: np.ndarray) -> np.ndarray:
     """(X X^T - M*)_Omega, batched."""
     XXt = np.einsum("...ir,...jr->...ij", X, X)
-    return (XXt - inst.m_star()) * inst.omega.mask()
+    return XXt * inst.omega.mask() - inst.m_star_omega()
 
 
 def objective(inst: McInstance, loss: LossSpec, X: np.ndarray):
@@ -171,38 +172,24 @@ def min_hessian_eigen(
 
 def restriction_map(X: np.ndarray) -> np.ndarray:
     """Orbit representative R with R Q = X, rows 1..r lower triangular and
-    nonnegative diagonal (RQ decomposition of the leading block)."""
+    nonnegative diagonal (RQ decomposition of the leading block), batched."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    n, r = X.shape
-    if r == 1:
-        return X.copy()
-    x1 = X[:r, :]
-    q, rt = np.linalg.qr(x1.T)  # x1^T = q rt, rt upper triangular
-    signs = np.sign(np.diag(rt))
+    r = X.shape[-1]
+    q, rt = np.linalg.qr(X[..., :r, :].swapaxes(-1, -2))  # x1^T = q rt, rt upper triangular
+    signs = np.sign(np.diagonal(rt, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     # X = (X q S)(S q^T) with S q^T orthogonal; leading block of X q S is
     # rt^T S: lower triangular with nonnegative diagonal.
-    return X @ q * signs
+    return X @ q * signs[..., None, :]
 
 
 def canonicalize(X: np.ndarray, tol: float = SIGN_TOL) -> np.ndarray:
-    """Deterministic orbit representative: restriction map plus column sign
-    fixing (plain sign flip in the rank-1 case)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n, r = X.shape
-    if r == 1:
-        out = X.copy()
-        nz = np.nonzero(np.abs(out[:, 0]) > tol)[0]
-        if nz.size and out[nz[0], 0] < 0:
-            out = -out
-        return out
+    """Deterministic orbit representative, batched: restriction map, then each
+    column's sign fixed so its first entry above ``tol`` is positive."""
     out = restriction_map(X)
-    for a in range(r):
-        nz = np.nonzero(np.abs(out[:, a]) > tol)[0]
-        if nz.size and out[nz[0], a] < 0:
-            out[:, a] = -out[:, a]
-    return out
+    big = np.abs(out) > tol
+    first = np.take_along_axis(out, np.argmax(big, axis=-2)[..., None, :], axis=-2)
+    flip = big.any(axis=-2, keepdims=True) & (first < 0)
+    return np.where(flip, -out, out)

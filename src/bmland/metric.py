@@ -3,10 +3,11 @@ set of measurements that admit more than one rank-r completion.
 
 The set is parametrized by pairs (X1, X2) whose Gram matrices agree on the
 observed entries but differ by at least ``separation`` in Frobenius norm. We
-minimize a penalty objective over such pairs, seeded from deduplicated descent
-endpoints, and report the best feasible value found — an upper bound only;
-infeasibility within budget is reported as "no pair found", never as a proof
-that none exists.
+minimize a penalty objective over such pairs, seeded from the classes of a
+``multistart_census`` (so X1 is the lower-objective class of each pair), and
+report the best feasible value found — an upper bound only; infeasibility
+within budget is reported as "no pair found", never as a proof that none
+exists.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNearCritical, SingularHessian
+from .census import multistart_census
+from .errors import DimensionMismatch
 from .instances import McInstance
-from .landscape import LossSpec, canonicalize
-from .optimize import GdConfig, Status, _sq_norms, descend_batch, newton_refine
-from .optimize import run_batch_chunked, sample_radial_init
+from .landscape import LossSpec
+from .optimize import _sq_norms, descend_batch
 
 RHO_ROUNDS = 5
 RHO_GROWTH = 10.0
-PAIR_DEDUP_RADIUS = 1e-4
 
 
 @dataclass
@@ -56,7 +56,7 @@ def _terms(inst: McInstance, Z: np.ndarray):
     W = inst.omega.mask()
     g1 = X1 @ X1.swapaxes(-1, -2)
     delta = g1 - X2 @ X2.swapaxes(-1, -2)
-    r0 = (g1 - inst.m_star()) * W
+    r0 = g1 * W - inst.m_star_omega()
     r2 = delta * W
     return X1, X2, r0, r2, delta, np.sqrt(_sq_norms(delta))
 
@@ -93,26 +93,6 @@ class _PairPenalty:
         return descend_batch(self.value, self.grad, Z, steps0, iters, grad_tol, np.inf).points
 
 
-def _endpoint_candidates(inst, budget, seed, threads):
-    """Deduplicated refined descent endpoints, in a seed-nested order so a
-    larger restart budget extends (never reshuffles) the candidate list."""
-    loss = LossSpec.l2()
-    X0 = sample_radial_init("gaussian", inst.n, inst.r, seed, size=budget.restarts)
-    res = run_batch_chunked(inst, loss, X0, GdConfig(), threads=threads)
-    reps = []
-    for x, status in zip(res.points, res.status):
-        if status != Status.CONVERGED:
-            continue
-        try:
-            x = newton_refine(inst, loss, x)
-        except (NotNearCritical, SingularHessian):
-            pass
-        c = canonicalize(x)
-        if all(np.linalg.norm(c - r) > PAIR_DEDUP_RADIUS for r in reps):
-            reps.append(c)
-    return reps
-
-
 def estimate_complexity_metric(
     inst: McInstance,
     budget: MetricBudget,
@@ -129,7 +109,8 @@ def estimate_complexity_metric(
     feas_tol = 1e-6 * (1.0 + inst.omega_scale())
     grad_tol = 1e-12 * (1.0 + inst.omega_scale()) ** 2
 
-    reps = _endpoint_candidates(inst, budget, seed, threads)
+    census = multistart_census(inst, LossSpec.l2(), budget.restarts, seed, threads=threads)
+    reps = [rec.canonical_rep for rec in census.classes]
     best = MetricEstimate(value=None, witness_pair=None, separation_achieved=None)
     if len(reps) < 2:
         return best

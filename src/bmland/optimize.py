@@ -127,6 +127,13 @@ class BatchResult:
     iters: np.ndarray
     status: np.ndarray
 
+    @property
+    def converged(self) -> np.ndarray:
+        """Boolean mask of the starts that reached ``grad_tol``."""
+        # By identity: ``status == Status.CONVERGED`` on an object array of a
+        # str enum compares as all False.
+        return np.array([s is Status.CONVERGED for s in self.status], dtype=bool)
+
 
 def descend_batch(
     value, grad, X0: np.ndarray, steps0: np.ndarray, max_iters: int, grad_tol: float,
@@ -265,7 +272,7 @@ def run_batch_chunked(inst, loss, X0, cfg, threads: int = 1, chunk_size: int = 4
     )
 
 
-def _solve_newton_step(H: np.ndarray, g: np.ndarray, r: int, restricted: bool):
+def _solve_newton_step(H: np.ndarray, g: np.ndarray, r: int):
     """Newton step restricted to the well-conditioned eigenspace.
 
     Eigenvalues below 1e-8 of the spectral radius are dropped: they span
@@ -277,18 +284,11 @@ def _solve_newton_step(H: np.ndarray, g: np.ndarray, r: int, restricted: bool):
     vmax = absvals.max(initial=0.0)
     if vmax == 0.0:
         raise SingularHessian("Hessian is zero")
-    orbit_nullity = 0 if (restricted or r == 1) else r * (r - 1) // 2
-    order = np.argsort(absvals)
-    null_idx = set(order[:orbit_nullity].tolist())
-    inv = np.zeros_like(vals)
-    kept = 0
-    for i, v in enumerate(vals):
-        if i in null_idx or absvals[i] < 1e-8 * vmax:
-            continue
-        inv[i] = 1.0 / v
-        kept += 1
-    if kept == 0:
+    keep = absvals >= 1e-8 * vmax
+    keep[np.argsort(absvals)[: r * (r - 1) // 2]] = False  # orbit null space
+    if not keep.any():
         raise SingularHessian("no well-conditioned Hessian directions")
+    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
     return -vecs @ (inv * (vecs.T @ g))
 
 
@@ -296,15 +296,14 @@ def newton_refine(
     inst: McInstance,
     loss: LossSpec,
     x: np.ndarray,
-    subspace: str = "full",
     tol: float | None = None,
     coarse_tol: float | None = None,
     max_steps: int = 50,
 ) -> np.ndarray:
     """Damped Newton polish of an approximately critical point.
 
-    For r > 1 in the full space, directions along the orthogonal-orbit null
-    space are excluded from the step (the gradient has no component there).
+    For r > 1, directions along the orthogonal-orbit null space are excluded
+    from the step (the gradient has no component there).
     """
     scale = 1.0 + inst.omega_scale()
     tol = tol if tol is not None else 1e-12 * scale
@@ -313,8 +312,6 @@ def newton_refine(
     if x.ndim == 1:
         x = x[:, None]
     n, r = inst.n, inst.r
-    restricted = subspace == "lower_triangular_tangent"
-    idx = tangent_indices(n, r) if restricted else None
 
     g = gradient(inst, loss, x)
     gn = float(np.linalg.norm(g))
@@ -323,20 +320,10 @@ def newton_refine(
     for _ in range(max_steps):
         if gn <= tol:
             break
-        H = dense_hessian(inst, loss, x)
-        gvec = g.reshape(-1)
-        if restricted:
-            H = H[np.ix_(idx, idx)]
-            gvec = gvec[idx]
-        step = _solve_newton_step(H, gvec, r, restricted)
-        full_step = np.zeros(n * r)
-        if restricted:
-            full_step[idx] = step
-        else:
-            full_step = step
+        step = _solve_newton_step(dense_hessian(inst, loss, x), g.reshape(-1), r)
         damping = 1.0
         for _ in range(25):
-            cand = x + damping * full_step.reshape(n, r)
+            cand = x + damping * step.reshape(n, r)
             g_cand = gradient(inst, loss, cand)
             gn_cand = float(np.linalg.norm(g_cand))
             if gn_cand < gn:
@@ -345,7 +332,7 @@ def newton_refine(
             damping *= 0.5
         else:
             break  # no productive damping left
-    if gn > tol and not restricted:
+    if gn > tol:
         # The quadratic model breaks down near degenerate (e.g. quartic-flat)
         # minima; a trust-region polish of the objective handles those.
         x = _trust_region_polish(inst, loss, x, gn, tol)

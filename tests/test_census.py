@@ -41,6 +41,14 @@ def test_census_rejects_zero_starts():
         bmland.multistart_census(inst, L2, 0, seed=1)
 
 
+def test_census_with_no_converged_start_is_empty():
+    inst = helpers.path_instance(4, gamma=0.05, seed=4)
+    report = bmland.multistart_census(inst, L2, 50, seed=1, cfg=GdConfig(max_iters=1))
+    assert report.classes == []
+    assert report.n_converged == 0 and report.n_nonconverged == 50
+    assert '"classes": []' in census_report_to_json(report)
+
+
 def _empty_report():
     return CensusReport(classes=[], n_starts=0, dedup_radius=1e-4,
                         n_converged=0, n_nonconverged=0)

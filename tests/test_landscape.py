@@ -4,6 +4,7 @@ import pytest
 import bmland
 from bmland import LossSpec
 from bmland.errors import DimensionMismatch
+from bmland.landscape import SIGN_TOL
 
 import helpers
 from helpers import L2
@@ -114,6 +115,21 @@ def test_canonicalize_fixes_signs():
     q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
     assert np.allclose(bmland.canonicalize(X @ q), bmland.canonicalize(X))
     assert np.array_equal(bmland.canonicalize(np.zeros((4, 1))), np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_orbit_maps_batched_match_per_point(r):
+    X = np.random.default_rng(r).standard_normal((12, 7, r))
+    X[0, :, -1] = 0.0  # a zero column
+    X[1, :3, 0] = [0.0, -0.5 * SIGN_TOL, 0.3 * SIGN_TOL]  # tiny leading entries
+    X[2] *= 0.5 * SIGN_TOL  # no entry above the sign tolerance
+    X[3, 0] = 0.0  # zero top row
+    for fn in (bmland.restriction_map, bmland.canonicalize):
+        batched = fn(X)
+        assert batched.shape == X.shape
+        assert np.array_equal(batched, np.stack([fn(x) for x in X]))
+        assert np.array_equal(fn(X.reshape(3, 4, 7, r)), batched.reshape(3, 4, 7, r))
+    assert bmland.canonicalize(X[:0]).shape == (0, 7, r)
 
 
 def test_min_hessian_eigen_subspaces():

@@ -86,3 +86,16 @@ def test_estimate_independent_of_threads():
     assert one.found and one.value == two.value
     assert one.separation_achieved == two.separation_achieved
     assert all(np.array_equal(a, b) for a, b in zip(one.witness_pair, two.witness_pair))
+
+
+def test_estimate_independent_of_discovery_order():
+    # Seeds 0 and 1 find the same candidates from different starts, in a
+    # different order; the pairs are oriented by the census order instead.
+    inst = helpers.path_instance(6, 0.05, 11)
+    a, b = (
+        bmland.estimate_complexity_metric(inst, bmland.MetricBudget(30, 2000), seed=s, threads=2)
+        for s in (0, 1)
+    )
+    assert a.found and b.found
+    assert a.value == pytest.approx(b.value, rel=1e-12, abs=0)
+    assert a.separation_achieved == pytest.approx(b.separation_achieved, rel=1e-9, abs=0)
