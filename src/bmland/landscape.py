@@ -4,10 +4,13 @@ The objective is f(X) = g[(X X^T - M*)_Omega] with the l2 loss
 g(R) = ||R||_F^2, optionally plus the row-norm regularizer
 Q(X) = lambda * sum_i (||X_i|| - alpha)_+^4.
 
-All value/gradient routines broadcast over leading batch axes, so a stack of
-factors of shape (B, n, r) is processed in one call, and so do the orbit
-maps ``restriction_map`` and ``canonicalize``. Hessian routines operate on a
-single point.
+``value_and_gradient`` is the one objective kernel: it forms the masked
+residual once, with batched matmul, and returns the value and the gradient
+from it; ``objective`` and ``gradient`` are its two halves. It broadcasts over
+leading batch axes, so a stack of factors of shape (B, n, r) is processed in
+one call, and so do the orbit maps ``restriction_map`` and ``canonicalize``.
+Each point's result has the same bits whatever stack it is part of. Hessian
+routines operate on a single point.
 """
 
 from __future__ import annotations
@@ -57,31 +60,36 @@ def _check_shape(inst: McInstance, X: np.ndarray) -> np.ndarray:
 
 def masked_residual(inst: McInstance, X: np.ndarray) -> np.ndarray:
     """(X X^T - M*)_Omega, batched."""
-    XXt = np.einsum("...ir,...jr->...ij", X, X)
-    return XXt * inst.omega.mask() - inst.m_star_omega()
+    X = _check_shape(inst, X)
+    R = X @ X.swapaxes(-1, -2)
+    R *= inst.omega.mask()
+    R -= inst.m_star_omega()
+    return R
 
 
-def objective(inst: McInstance, loss: LossSpec, X: np.ndarray):
+def value_and_gradient(inst: McInstance, loss: LossSpec, X: np.ndarray):
+    """Objective and gradient from one masked residual, batched: the value is
+    sum(R^2) and the gradient 4 R X, plus the regularizer's terms."""
     X = _check_shape(inst, X)
     R = masked_residual(inst, X)
     val = np.einsum("...ij,...ij->...", R, R)
+    G = R @ X
+    G *= 4.0
     if loss.regularized:
         t = np.linalg.norm(X, axis=-1)
         excess = np.maximum(t - loss.alpha, 0.0)
         val = val + loss.lam * np.sum(excess**4, axis=-1)
-    return float(val) if val.ndim == 0 else val
+        coef = np.where(excess > 0, 4.0 * loss.lam * excess**3 / np.maximum(t, 1e-300), 0.0)
+        G += coef[..., None] * X
+    return (float(val) if val.ndim == 0 else val), G
+
+
+def objective(inst: McInstance, loss: LossSpec, X: np.ndarray):
+    return value_and_gradient(inst, loss, X)[0]
 
 
 def gradient(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray:
-    X = _check_shape(inst, X)
-    R = masked_residual(inst, X)
-    G = 4.0 * np.einsum("...ij,...jr->...ir", R, X)
-    if loss.regularized:
-        t = np.linalg.norm(X, axis=-1)
-        excess = np.maximum(t - loss.alpha, 0.0)
-        coef = np.where(excess > 0, 4.0 * loss.lam * excess**3 / np.maximum(t, 1e-300), 0.0)
-        G = G + coef[..., None] * X
-    return G
+    return value_and_gradient(inst, loss, X)[1]
 
 
 def hessian_quadratic(

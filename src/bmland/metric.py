@@ -72,17 +72,13 @@ class _PairPenalty:
     rho_sep: float
     separation: float
 
-    def value(self, Z: np.ndarray) -> np.ndarray:
-        _, _, r0, r2, _, d = _terms(self.inst, Z)
-        gap = np.maximum(self.separation - d, 0.0)
-        return self.w0 * _sq_norms(r0) + self.rho * _sq_norms(r2) + self.rho_sep * gap * gap
-
-    def grad(self, Z: np.ndarray) -> np.ndarray:
+    def value_and_grad(self, Z: np.ndarray):
         X1, X2, r0, r2, delta, d = _terms(self.inst, Z)
         gap = np.maximum(self.separation - d, 0.0)
+        value = self.w0 * _sq_norms(r0) + self.rho * _sq_norms(r2) + self.rho_sep * gap * gap
         coef = np.divide(2.0 * self.rho_sep * gap, d, out=np.zeros_like(d), where=d > 0)
         A = 4.0 * self.rho * r2 - 2.0 * coef[:, None, None] * delta
-        return np.concatenate([(4.0 * self.w0 * r0 + A) @ X1, -A @ X2], axis=-1)
+        return value, np.concatenate([(4.0 * self.w0 * r0 + A) @ X1, -A @ X2], axis=-1)
 
     def descend(self, Z: np.ndarray, iters: int, grad_tol: float) -> np.ndarray:
         """Monotone descent of every pair from a step set by its start."""
@@ -90,7 +86,7 @@ class _PairPenalty:
         sizes = np.maximum(_sq_norms(Z[..., :r]), _sq_norms(Z[..., r:]))
         scale = self.inst.omega_scale() + 3.0 * np.maximum(sizes, 1.0)
         steps0 = 0.25 / (4.0 * (self.w0 + self.rho) * scale)
-        return descend_batch(self.value, self.grad, Z, steps0, iters, grad_tol, np.inf).points
+        return descend_batch(self.value_and_grad, Z, steps0, iters, grad_tol, np.inf).points
 
 
 def estimate_complexity_metric(

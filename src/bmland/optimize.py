@@ -2,11 +2,12 @@
 Newton refinement, and critical-point classification.
 
 ``descend_batch`` is the one descent loop: it advances a stack of independent
-iterates of any batched value/gradient pair, and both the factorized
-objective (``gradient_descent_batch``) and the metric's pair penalty run
-through it. Per-sample arithmetic is identical regardless of how the stack is
-chunked, which keeps experiment outputs bit-stable under any parallelism
-degree.
+iterates of any batched value-and-gradient function, and both the factorized
+objective (``gradient_descent_batch``, through ``landscape.value_and_gradient``)
+and the metric's pair penalty run through it. Each step makes one fused call
+on the samples still running. Per-sample arithmetic is identical regardless
+of how the stack is chunked, which keeps experiment outputs bit-stable under
+any parallelism degree.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ from .landscape import (
     gradient,
     objective,
     tangent_indices,
+    value_and_gradient,
 )
 
 STEP_GROWTH = 1.5
 STEP_GROWTH_EVERY = 20
 STEP_GROWTH_CAP = 4096.0
 STALL_LIMIT = 500
+# Bytes one (rows, n, n) float temporary of a chunk's descent may take.
+CHUNK_BUDGET_BYTES = 64 * 2**20
 
 
 class Status(str, enum.Enum):
@@ -136,89 +140,93 @@ class BatchResult:
 
 
 def descend_batch(
-    value, grad, X0: np.ndarray, steps0: np.ndarray, max_iters: int, grad_tol: float,
+    value_and_grad, X0: np.ndarray, steps0: np.ndarray, max_iters: int, grad_tol: float,
     divergence_bound: float,
 ) -> BatchResult:
-    """Explicit-Euler gradient descent on a (B, n, k) stack of iterates, with
-    batched ``value`` (B,) and ``grad`` (B, n, k) and per-sample initial steps.
+    """Explicit-Euler gradient descent on a (B, n, k) stack of iterates, with a
+    batched ``value_and_grad`` returning (B,) values and (B, n, k) gradients,
+    and per-sample initial steps.
 
     The value is kept monotone per sample: a step that would increase it is
     rejected and the sample's step size halved; steadily accepted samples get
     a bounded step-size growth so late linear convergence is not throttled by
-    a conservative initial bound. A sample's result does not depend on the
-    rest of the stack.
+    a conservative initial bound. Each step makes one ``value_and_grad`` call,
+    on the samples still running: the working set is compacted whenever
+    samples retire, and a retiring sample's result is written out then. A
+    sample's result does not depend on the rest of the stack.
     """
     B = X0.shape[0]
-    steps = steps0.copy()
-
-    X = X0.copy()
-    f = value(X)
+    points = np.empty_like(X0)
+    values = np.empty(B)
+    grad_norms = np.empty(B)
+    iters = np.full(B, max_iters, dtype=int)
     status = np.empty(B, dtype=object)
     status[:] = Status.MAX_ITERS
-    iters = np.full(B, max_iters, dtype=int)
-    grad_norms = np.zeros(B)
-    active = np.ones(B, dtype=bool)
+
+    # The working set: input indices of the samples still running, and their state.
+    idx = np.arange(B)
+    X = X0.copy()
+    f, G = value_and_grad(X)
+    steps = steps0.copy()
     since_growth = np.zeros(B, dtype=int)
     no_progress = np.zeros(B, dtype=int)
 
-    for it in range(max_iters):
-        if not active.any():
-            break
-        idx = np.nonzero(active)[0]
-        Xa = X[idx]
-        G = grad(Xa)
-        gn = np.sqrt(_sq_norms(G))
-        grad_norms[idx] = gn
+    def retire(out, it):
+        """Write out the samples flagged in ``out`` and drop them from the working set."""
+        nonlocal idx, X, f, G, gn, steps, since_growth, no_progress
+        d = idx[out]
+        points[d], values[d], grad_norms[d], iters[d] = X[out], f[out], gn[out], it
+        keep = ~out
+        idx, X, f, G, gn, steps, since_growth, no_progress = (
+            a[keep] for a in (idx, X, f, G, gn, steps, since_growth, no_progress)
+        )
 
+    for it in range(max_iters):
+        gn = np.sqrt(_sq_norms(G))
         done = gn <= grad_tol
         if done.any():
-            d = idx[done]
-            status[d] = Status.CONVERGED
-            iters[d] = it
-            active[d] = False
-            idx = idx[~done]
-            if idx.size == 0:
-                continue
-            Xa, G = Xa[~done], G[~done]
+            status[idx[done]] = Status.CONVERGED
+            retire(done, it)
+        if idx.size == 0:
+            break
 
-        Xnew = Xa - steps[idx, None, None] * G
-        fnew = value(Xnew)
-        increased = fnew > f[idx]
-        improved = fnew < f[idx]
+        Xnew = X - steps[:, None, None] * G
+        fnew, Gnew = value_and_grad(Xnew)
+        increased = fnew > f
+        improved = fnew < f
         ok = ~increased
-        ok_idx = idx[ok]
-        X[ok_idx] = Xnew[ok]
-        f[ok_idx] = fnew[ok]
-        since_growth[ok_idx] += 1
-        steps[idx[increased]] *= 0.5
-        since_growth[idx[increased]] = 0
+        if ok.all():
+            X, f, G = Xnew, fnew, Gnew
+        else:
+            X[ok], f[ok], G[ok] = Xnew[ok], fnew[ok], Gnew[ok]
+        since_growth[ok] += 1
+        steps[increased] *= 0.5
+        since_growth[increased] = 0
         # Once the value stops strictly decreasing for a long stretch, the
         # iterate sits at the resolution floor of double precision; further
         # iterations cannot reach grad_tol, so the sample is cut off early.
-        no_progress[idx] += 1
-        no_progress[idx[improved]] = 0
-        stalled = idx[no_progress[idx] >= STALL_LIMIT]
-        if stalled.size:
-            iters[stalled] = it
-            active[stalled] = False
+        no_progress += 1
+        no_progress[improved] = 0
+        stalled = no_progress >= STALL_LIMIT
 
-        grow = since_growth[ok_idx] >= STEP_GROWTH_EVERY
+        grow = ok & (since_growth >= STEP_GROWTH_EVERY)
         if grow.any():
-            gidx = ok_idx[grow]
-            steps[gidx] = np.minimum(steps[gidx] * STEP_GROWTH, STEP_GROWTH_CAP * steps0[gidx])
-            since_growth[gidx] = 0
+            cap = STEP_GROWTH_CAP * steps0[idx[grow]]
+            steps[grow] = np.minimum(steps[grow] * STEP_GROWTH, cap)
+            since_growth[grow] = 0
 
-        diverged = np.sqrt(_sq_norms(X[ok_idx])) > divergence_bound
-        if diverged.any():
-            d = ok_idx[diverged]
-            status[d] = Status.DIVERGED
-            iters[d] = it
-            active[d] = False
+        diverged = ok & (np.sqrt(_sq_norms(X)) > divergence_bound)
+        out = stalled | diverged
+        if out.any():
+            # A stalled or diverged sample keeps the gradient norm measured
+            # before its last step.
+            status[idx[diverged]] = Status.DIVERGED
+            retire(out, it)
 
-    still = np.nonzero(active)[0]
-    if still.size:
-        grad_norms[still] = np.sqrt(_sq_norms(grad(X[still])))
-    return BatchResult(X, value(X), grad_norms, iters, status)
+    points[idx] = X
+    values[idx] = f
+    grad_norms[idx] = np.sqrt(_sq_norms(G))
+    return BatchResult(points, values, grad_norms, iters, status)
 
 
 def gradient_descent_batch(
@@ -230,10 +238,9 @@ def gradient_descent_batch(
         X0 = X0[None]
     cfg = cfg.resolved(inst, X0)
     steps0 = np.full(X0.shape[0], cfg.step) if cfg.step is not None else _auto_steps(inst, X0)
-    # Looked up per call, so wrappers installed on these module names see each one.
+    # Looked up per call, so a wrapper installed on this module name sees each one.
     return descend_batch(
-        lambda X: objective(inst, loss, X),
-        lambda X: gradient(inst, loss, X),
+        lambda X: value_and_gradient(inst, loss, X),
         X0, steps0, cfg.max_iters, cfg.grad_tol, cfg.divergence_bound,
     )
 
@@ -254,10 +261,14 @@ def gradient_descent(
 
 def run_batch_chunked(inst, loss, X0, cfg, threads: int = 1, chunk_size: int = 4096):
     """Chunked batch runner; chunk boundaries are fixed independently of the
-    thread count, so outputs are identical for any parallelism degree."""
+    thread count, so outputs are identical for any parallelism degree.
+
+    A chunk has at most ``chunk_size`` rows, and fewer when a (rows, n, n)
+    temporary of the descent would exceed ``CHUNK_BUDGET_BYTES``."""
     X0 = np.asarray(X0, dtype=float)
-    B = X0.shape[0]
-    bounds = [(lo, min(lo + chunk_size, B)) for lo in range(0, B, chunk_size)]
+    B, n = X0.shape[:2]
+    rows = min(chunk_size, max(1, CHUNK_BUDGET_BYTES // (8 * n * n)))
+    bounds = [(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
     if threads <= 1 or len(bounds) == 1:
         parts = [gradient_descent_batch(inst, loss, X0[lo:hi], cfg) for lo, hi in bounds]
     else:

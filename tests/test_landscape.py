@@ -62,6 +62,38 @@ def test_gradient_finite_difference_property():
         assert abs(fd - an) <= 1e-6 * max(abs(an), 1.0)
 
 
+KERNEL_CASES = [
+    (helpers.path_instance(5, gamma=0.1, seed=3), L2),
+    (helpers.path_instance(5, gamma=0.1, seed=3), LossSpec.l2_regularized(0.7, 0.5)),
+    (helpers.star_rank2_instance(), L2),
+    (helpers.star_rank2_instance(), LossSpec.l2_regularized(0.7, 0.8)),
+]
+
+
+@pytest.mark.parametrize("inst, loss", KERNEL_CASES)
+def test_value_and_gradient_kernel(inst, loss):
+    rng = np.random.default_rng(inst.r)
+    X = rng.standard_normal((6, inst.n, inst.r))
+    if loss.regularized:  # some rows inside alpha, some outside
+        assert 0 < np.count_nonzero(np.linalg.norm(X, axis=-1) > loss.alpha) < X[..., 0].size
+    val, G = bmland.value_and_gradient(inst, loss, X)
+    assert np.array_equal(val, bmland.objective(inst, loss, X))
+    assert np.array_equal(G, bmland.gradient(inst, loss, X))
+    # One point at a time gives the same bits as the stack.
+    for b in range(len(X)):
+        v, g = bmland.value_and_gradient(inst, loss, X[b])
+        assert isinstance(v, float) and v == val[b]
+        assert np.array_equal(g, G[b])
+    D = rng.standard_normal(X.shape)
+    h = 1e-6
+    fd = (
+        bmland.value_and_gradient(inst, loss, X + h * D)[0]
+        - bmland.value_and_gradient(inst, loss, X - h * D)[0]
+    ) / (2 * h)
+    an = np.einsum("bij,bij->b", G, D)
+    assert np.all(np.abs(fd - an) <= 1e-6 * np.maximum(np.abs(an), 1.0))
+
+
 def test_hessian_quadratic_known_values():
     inst = helpers.path_instance(4)
     x_min = inst.x_star  # (1,0,1,0)

@@ -61,8 +61,8 @@ def test_pair_penalty_gradient_finite_difference(inst):
     h = 1e-6
     for w0, rho, rho_sep in ((1.0, 10.0, 100.0), (0.0, 1.0, 1.0)):
         pen = _PairPenalty(inst, w0, rho, rho_sep, separation)
-        fd = (pen.value(Z + h * D) - pen.value(Z - h * D)) / (2 * h)
-        an = np.einsum("pij,pij->p", pen.grad(Z), D)
+        fd = (pen.value_and_grad(Z + h * D)[0] - pen.value_and_grad(Z - h * D)[0]) / (2 * h)
+        an = np.einsum("pij,pij->p", pen.value_and_grad(Z)[1], D)
         assert np.all(np.abs(fd - an) <= 1e-6 * np.maximum(np.abs(an), 1.0))
 
 

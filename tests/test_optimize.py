@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bmland
-from bmland import Classification, GdConfig, Status
+from bmland import Classification, GdConfig, Status, optimize
 from bmland.errors import DimensionMismatch, NotNearCritical
 from bmland.optimize import run_batch_chunked
 
@@ -88,6 +88,49 @@ def test_chunked_runner_invariant_to_threads():
     b = run_batch_chunked(inst, L2, X0, GdConfig(), threads=4, chunk_size=16)
     for field in dataclasses.fields(a):
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+def test_retiring_samples_match_single_runs():
+    # Truth (1000, 0, 1000) on the path with self-loops. (1050, 0, 0) converges
+    # to the saddle (1000, 0, 0), and (1000, 0, 0.1) escapes from it past the
+    # divergence bound. Along (0, t, 0) the objective is quartic-flat: from
+    # t = 0.5 the value still falls at max_iters, while from t = 0.1 its change
+    # stays below one ulp of the value, so that start stalls. The fixed step is
+    # long enough to be rejected at times, so some iterations accept the step
+    # of one sample and reject another's.
+    base = helpers.path_instance(3)
+    inst = bmland.assemble_instance(1000.0 * base.x_star, base.omega, base.graph, [1, 3])
+    X0 = np.array([[0, 0.5, 0], [1050, 0, 0], [0, 0.1, 0], [1000, 0, 0.1]])[..., None]
+    cfg = GdConfig(step=3e-7, max_iters=600, divergence_bound=1200.0)
+    batch = bmland.gradient_descent_batch(inst, L2, X0, cfg)
+    assert list(batch.status) == [Status.MAX_ITERS, Status.CONVERGED, Status.MAX_ITERS, Status.DIVERGED]
+    assert batch.iters[0] == 600 and 0 < batch.iters[2] < 600
+    assert 0 < batch.iters[1] < 600 and 0 < batch.iters[3] < 600
+    assert np.array_equal(batch.values, bmland.objective(inst, L2, batch.points))
+    for b in range(len(X0)):
+        alone = bmland.gradient_descent_batch(inst, L2, X0[b : b + 1], cfg)
+        for field in dataclasses.fields(alone):
+            assert np.array_equal(getattr(alone, field.name)[0], getattr(batch, field.name)[b])
+
+
+def test_chunk_rows_capped_by_memory_budget(monkeypatch):
+    inst = helpers.path_instance(4)
+    X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=10)
+    monkeypatch.setattr(optimize, "CHUNK_BUDGET_BYTES", 3 * 8 * 4 * 4)  # three (4, 4) arrays
+    descend = optimize.gradient_descent_batch
+    rows = []
+
+    def recording(inst, loss, X, cfg):
+        rows.append(len(X))
+        return descend(inst, loss, X, cfg)
+
+    monkeypatch.setattr(optimize, "gradient_descent_batch", recording)
+    one = run_batch_chunked(inst, L2, X0, GdConfig(), threads=1)
+    two = run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
+    assert sorted(rows) == [1, 1, 3, 3, 3, 3, 3, 3]
+    for other in (two, descend(inst, L2, X0, GdConfig())):
+        for field in dataclasses.fields(one):
+            assert np.array_equal(getattr(one, field.name), getattr(other, field.name))
 
 
 def test_newton_refine_polishes_gd_endpoint():
