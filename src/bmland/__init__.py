@@ -42,7 +42,6 @@ from .landscape import (
 )
 from .optimize import (
     Classification,
-    ClassifyTols,
     GdConfig,
     RunResult,
     Status,
@@ -102,7 +101,6 @@ __all__ = [
     "restriction_map",
     "value_and_gradient",
     "Classification",
-    "ClassifyTols",
     "GdConfig",
     "RunResult",
     "Status",

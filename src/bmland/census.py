@@ -4,7 +4,7 @@ experiments, and the uniform-basin statistical test."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import stats
@@ -21,10 +21,9 @@ from .instances import McInstance, assemble_instance, build_canonical_ground_tru
 from .landscape import LossSpec, canonicalize
 from .optimize import (
     Classification,
-    ClassifyTols,
     GdConfig,
     classify_critical_point,
-    is_success_batch,
+    is_success,
     newton_refine,
     run_batch_chunked,
     sample_radial_init,
@@ -99,7 +98,6 @@ def multistart_census(
     radius: float = 1.0,
     dedup_radius: float = 1e-4,
     threads: int = 1,
-    classify_tols: ClassifyTols | None = None,
 ) -> CensusReport:
     """Run n_starts seeded descents, polish and deduplicate the endpoints, and
     classify one representative per cluster.
@@ -110,6 +108,8 @@ def multistart_census(
     """
     if n_starts < 1:
         raise DimensionMismatch("n_starts must be >= 1")
+    if not dedup_radius > 0:
+        raise DimensionMismatch(f"dedup_radius must be positive, got {dedup_radius!r}")
     cfg = cfg or GdConfig()
     X0 = sample_radial_init(
         dist, inst.n, inst.r, seed, sigma=sigma, radius=radius, size=n_starts
@@ -133,7 +133,7 @@ def multistart_census(
     records: list[CriticalPointRecord] = []
     for group in _cluster(refined, dedup_radius):
         rep = refined[group[0]]
-        verdict = classify_critical_point(inst, loss, rep, classify_tols)
+        verdict = classify_critical_point(inst, loss, rep)
         records.append(
             CriticalPointRecord(
                 canonical_rep=rep,
@@ -159,13 +159,12 @@ def check_lower_bound(
     g: BlockSparsityGraph | None,
     r: int,
     s_vertices=None,
-    count: str | None = None,
 ) -> dict:
     """Compare the census against the guaranteed minimum number of spurious
     minima for the canonical construction on independent set S.
 
-    With B = 2^{r(|S|-1)} - 1 orbit classes, the point count at r=1 is 2B.
-    ``count`` selects "points" (default for r=1) or "orbits" (default r>1).
+    With B = 2^{r(|S|-1)} - 1 orbit classes: at r=1 the bound counts the 2B
+    points, at r>1 the B orbits.
     """
     if s_vertices is not None:
         s_size = len(frozenset(s_vertices))
@@ -173,19 +172,13 @@ def check_lower_bound(
         s_size = len(analyze_graph(g).max_independent_set)
     else:
         raise MissingS("need either s_vertices or a graph to size S")
-    if count is None:
-        count = "points" if r == 1 else "orbits"
     orbit_bound = 2 ** (r * (s_size - 1)) - 1
-    if count == "points":
-        if r != 1:
-            raise DimensionMismatch("point counting is only defined for r=1")
+    if r == 1:
         bound = 2 * orbit_bound
         found = report.point_count(Classification.SPURIOUS_LOCAL_MIN, r)
-    elif count == "orbits":
+    else:
         bound = orbit_bound
         found = report.spurious_classes
-    else:
-        raise DimensionMismatch(f"unknown count mode {count!r}")
     return {"bound": bound, "found": found, "satisfied": found >= bound}
 
 
@@ -245,10 +238,7 @@ class SuccessRateRow:
 class SuccessRateTable:
     rows: list = field(default_factory=list)
 
-    COLUMNS = (
-        "gamma", "n", "r", "S_size", "p", "seed", "trials", "successes",
-        "rate", "wilson_ci_low", "wilson_ci_high",
-    )
+    COLUMNS = tuple(f.name for f in fields(SuccessRateRow))
 
 
 def success_rate_experiment(
@@ -270,7 +260,7 @@ def success_rate_experiment(
             spec.dist, spec.n, spec.r, int(seeds[2 * k + 1]), size=spec.trials
         )
         res = run_batch_chunked(inst, LossSpec.l2(), X0, cfg, threads=threads)
-        ok = is_success_batch(inst, res.points) & res.converged
+        ok = is_success(inst, res.points) & res.converged
         successes = int(np.sum(ok))
         lo, hi = wilson_interval(successes, spec.trials)
         table.rows.append(

@@ -54,32 +54,10 @@ from .serialize import (
     metric_estimate_to_json,
     save_factor,
     save_instance,
+    write_json,
 )
 
 OUT_DIR_ENV = "BMLAND_OUT_DIR"
-
-VALIDATION_ERRORS = (
-    errors.ConfigParseError,
-    errors.ValidationError,
-    errors.InvalidParams,
-    errors.UnknownPattern,
-    errors.DimensionMismatch,
-    errors.EmptyS,
-    errors.SNotRealizable,
-    errors.InvalidS,
-    errors.MissingGraph,
-    errors.MissingS,
-)
-NUMERICAL_ERRORS = (
-    errors.NotPSD,
-    errors.SingularBlock,
-    errors.SingularHessian,
-    errors.NotNearCritical,
-    errors.Disconnected,
-    errors.NoOddCycle,
-    errors.UnmatchedEndpoint,
-    errors.ZeroMatrix,
-)
 
 
 def _build_graph(cfg: dict) -> BlockSparsityGraph:
@@ -159,7 +137,7 @@ def _cmd_solve(cfg, args, seed, threads):
     save_factor(x_hat, path)
     report = {"relative_error": rel_err, "ops_estimate": result.operations_estimate}
     report_path = os.path.join(os.path.dirname(path), require(cfg, "report_file", str, default="solve_report.json"))
-    atomic_write_text(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(report_path, report)
     print(f"recovered factor, relative error {rel_err:.3e}, ops ~{result.operations_estimate} -> {path}")
     return 0
 
@@ -185,7 +163,7 @@ def _cmd_descend(cfg, args, seed, threads):
         "final_point": result.final_point.tolist(),
     }
     path = _out_path(cfg, args, "descend.json")
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
     print(f"{result.status.value} after {result.iterations} iterations, f={result.final_objective:.6e} -> {path}")
     return 0
 
@@ -211,7 +189,7 @@ def _cmd_census(cfg, args, seed, threads):
             report, inst.graph, inst.r, s_vertices=inst.s_vertices
         )
     path = _out_path(cfg, args, "census.json")
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
     spurious = report.spurious_classes
     print(
         f"census: {len(report.classes)} classes ({report.global_classes} global, "
@@ -290,7 +268,7 @@ def _cmd_check(cfg, args, seed, threads):
         "max_independent_set": sorted(analysis.max_independent_set),
     }
     path = _out_path(cfg, args, "check.json")
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, doc)
     print(f"in_class={report.in_class} -> {path}")
     return 0
 
@@ -342,10 +320,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         return run_config(args.command, cfg, args)
-    except VALIDATION_ERRORS as exc:
+    except errors.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NUMERICAL_ERRORS as exc:
+    except errors.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (errors.IoError, OSError) as exc:

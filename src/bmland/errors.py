@@ -2,78 +2,87 @@
 
 
 class BmlandError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. Each error falls under exactly one
+    category: ``ConfigError``, ``NumericalError`` or ``IoError``."""
 
 
-class UnknownPattern(BmlandError):
+class ConfigError(BmlandError):
+    """Invalid configuration or input; the CLI exits with code 1."""
+
+
+class NumericalError(BmlandError):
+    """A numerical method failed on valid input; the CLI exits with code 2."""
+
+
+class UnknownPattern(ConfigError):
     pass
 
 
-class InvalidParams(BmlandError):
+class InvalidParams(ConfigError):
     pass
 
 
-class EmptyS(BmlandError):
+class EmptyS(ConfigError):
     pass
 
 
-class SNotRealizable(BmlandError):
+class SNotRealizable(ConfigError):
     pass
 
 
-class InvalidS(BmlandError):
+class InvalidS(ConfigError):
     pass
 
 
-class DimensionMismatch(BmlandError):
+class DimensionMismatch(ConfigError):
     pass
 
 
-class MissingGraph(BmlandError):
+class MissingGraph(ConfigError):
     pass
 
 
-class MissingS(BmlandError):
+class MissingS(ConfigError):
     pass
 
 
-class ZeroMatrix(BmlandError):
+class ZeroMatrix(NumericalError):
     pass
 
 
-class NoOddCycle(BmlandError):
+class NoOddCycle(NumericalError):
     pass
 
 
-class Disconnected(BmlandError):
+class Disconnected(NumericalError):
     pass
 
 
-class SingularBlock(BmlandError):
+class SingularBlock(NumericalError):
     pass
 
 
-class NotPSD(BmlandError):
+class NotPSD(NumericalError):
     pass
 
 
-class SingularHessian(BmlandError):
+class SingularHessian(NumericalError):
     pass
 
 
-class NotNearCritical(BmlandError):
+class NotNearCritical(NumericalError):
     pass
 
 
-class UnmatchedEndpoint(BmlandError):
+class UnmatchedEndpoint(NumericalError):
     pass
 
 
-class ConfigParseError(BmlandError):
+class ConfigParseError(ConfigError):
     pass
 
 
-class ValidationError(BmlandError):
+class ValidationError(ConfigError):
     def __init__(self, field, message=None):
         self.field = field
         detail = f": {message}" if message else ""
@@ -81,4 +90,4 @@ class ValidationError(BmlandError):
 
 
 class IoError(BmlandError):
-    pass
+    """A file could not be read or written; the CLI exits with code 3."""

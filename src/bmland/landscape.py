@@ -193,11 +193,11 @@ def restriction_map(X: np.ndarray) -> np.ndarray:
     return X @ q * signs[..., None, :]
 
 
-def canonicalize(X: np.ndarray, tol: float = SIGN_TOL) -> np.ndarray:
+def canonicalize(X: np.ndarray) -> np.ndarray:
     """Deterministic orbit representative, batched: restriction map, then each
-    column's sign fixed so its first entry above ``tol`` is positive."""
+    column's sign fixed so its first entry above ``SIGN_TOL`` is positive."""
     out = restriction_map(X)
-    big = np.abs(out) > tol
+    big = np.abs(out) > SIGN_TOL
     first = np.take_along_axis(out, np.argmax(big, axis=-2)[..., None, :], axis=-2)
     flip = big.any(axis=-2, keepdims=True) & (first < 0)
     return np.where(flip, -out, out)

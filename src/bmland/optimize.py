@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, NotNearCritical, SingularHessian
 from .instances import McInstance
 from .landscape import (
     LossSpec,
+    _check_shape,
     canonicalize,
     dense_hessian,
     gradient,
@@ -34,7 +35,9 @@ STEP_GROWTH = 1.5
 STEP_GROWTH_EVERY = 20
 STEP_GROWTH_CAP = 4096.0
 STALL_LIMIT = 500
-# Bytes one (rows, n, n) float temporary of a chunk's descent may take.
+# Rows of one chunk of a chunked descent, and the bytes one (rows, n, n)
+# float temporary of its descent may take.
+CHUNK_ROWS = 4096
 CHUNK_BUDGET_BYTES = 64 * 2**20
 
 
@@ -54,7 +57,8 @@ class Classification(str, enum.Enum):
 
 @dataclass(frozen=True)
 class GdConfig:
-    """step/grad_tol/divergence_bound of None are resolved per instance."""
+    """step/grad_tol/divergence_bound of None are resolved per instance; a
+    given value must be positive."""
 
     step: float | None = None
     max_iters: int = 200_000
@@ -62,14 +66,15 @@ class GdConfig:
     divergence_bound: float | None = None
 
     def __post_init__(self):
-        if self.step is not None and self.step <= 0:
-            raise DimensionMismatch("step must be positive")
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise DimensionMismatch("grad_tol must be positive")
+        for name in ("step", "grad_tol", "divergence_bound"):
+            value = getattr(self, name)
+            # Written so that NaN fails too.
+            if value is not None and not value > 0:
+                raise DimensionMismatch(f"{name} must be positive, got {value!r}")
         if self.max_iters < 1:
             raise DimensionMismatch("max_iters must be >= 1")
 
-    def resolved(self, inst: McInstance, X0: np.ndarray) -> "GdConfig":
+    def resolved(self, inst: McInstance) -> "GdConfig":
         scale = inst.omega_scale()
         grad_tol = self.grad_tol if self.grad_tol is not None else 1e-9 * (1.0 + scale)
         bound = (
@@ -236,7 +241,7 @@ def gradient_descent_batch(
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim == 2:
         X0 = X0[None]
-    cfg = cfg.resolved(inst, X0)
+    cfg = cfg.resolved(inst)
     steps0 = np.full(X0.shape[0], cfg.step) if cfg.step is not None else _auto_steps(inst, X0)
     # Looked up per call, so a wrapper installed on this module name sees each one.
     return descend_batch(
@@ -259,15 +264,15 @@ def gradient_descent(
     )
 
 
-def run_batch_chunked(inst, loss, X0, cfg, threads: int = 1, chunk_size: int = 4096):
+def run_batch_chunked(inst, loss, X0, cfg, threads: int = 1):
     """Chunked batch runner; chunk boundaries are fixed independently of the
     thread count, so outputs are identical for any parallelism degree.
 
-    A chunk has at most ``chunk_size`` rows, and fewer when a (rows, n, n)
+    A chunk has at most ``CHUNK_ROWS`` rows, and fewer when a (rows, n, n)
     temporary of the descent would exceed ``CHUNK_BUDGET_BYTES``."""
     X0 = np.asarray(X0, dtype=float)
     B, n = X0.shape[:2]
-    rows = min(chunk_size, max(1, CHUNK_BUDGET_BYTES // (8 * n * n)))
+    rows = min(CHUNK_ROWS, max(1, CHUNK_BUDGET_BYTES // (8 * n * n)))
     bounds = [(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
     if threads <= 1 or len(bounds) == 1:
         parts = [gradient_descent_batch(inst, loss, X0[lo:hi], cfg) for lo, hi in bounds]
@@ -303,22 +308,18 @@ def _solve_newton_step(H: np.ndarray, g: np.ndarray, r: int):
     return -vecs @ (inv * (vecs.T @ g))
 
 
-def newton_refine(
-    inst: McInstance,
-    loss: LossSpec,
-    x: np.ndarray,
-    tol: float | None = None,
-    coarse_tol: float | None = None,
-    max_steps: int = 50,
-) -> np.ndarray:
-    """Damped Newton polish of an approximately critical point.
+def newton_refine(inst: McInstance, loss: LossSpec, x: np.ndarray) -> np.ndarray:
+    """Damped Newton polish of an approximately critical point, in at most 50
+    steps, to a gradient norm of 1e-12 (1 + ||M*_Omega||); a point whose
+    gradient norm is above 1e-3 (1 + ||M*_Omega||) is rejected as not near a
+    critical point.
 
     For r > 1, directions along the orthogonal-orbit null space are excluded
     from the step (the gradient has no component there).
     """
     scale = 1.0 + inst.omega_scale()
-    tol = tol if tol is not None else 1e-12 * scale
-    coarse_tol = coarse_tol if coarse_tol is not None else 1e-3 * scale
+    tol = 1e-12 * scale
+    coarse_tol = 1e-3 * scale
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -328,7 +329,7 @@ def newton_refine(
     gn = float(np.linalg.norm(g))
     if gn > coarse_tol:
         raise NotNearCritical(f"gradient norm {gn:.3e} above {coarse_tol:.3e}")
-    for _ in range(max_steps):
+    for _ in range(50):
         if gn <= tol:
             break
         step = _solve_newton_step(dense_hessian(inst, loss, x), g.reshape(-1), r)
@@ -370,20 +371,6 @@ def _trust_region_polish(
 
 
 @dataclass(frozen=True)
-class ClassifyTols:
-    crit_tol: float = 1e-8
-    global_tol: float | None = None  # default 1e-8 * ||M*_Omega||_F^2
-    eig_tol: float | None = None  # default 1e-7 * trace scale
-
-    def resolved(self, inst: McInstance, H: np.ndarray) -> "ClassifyTols":
-        scale2 = inst.omega_scale() ** 2
-        global_tol = self.global_tol if self.global_tol is not None else 1e-8 * max(scale2, 1.0)
-        trace_scale = max(1.0, abs(np.trace(H)) / H.shape[0])
-        eig_tol = self.eig_tol if self.eig_tol is not None else 1e-7 * trace_scale
-        return replace(self, global_tol=global_tol, eig_tol=eig_tol)
-
-
-@dataclass(frozen=True)
 class ClassifiedPoint:
     """Verdict on a point with the quantities it rests on."""
 
@@ -393,16 +380,14 @@ class ClassifiedPoint:
     lambda_min: float
 
 
-def classify_critical_point(
-    inst: McInstance,
-    loss: LossSpec,
-    x: np.ndarray,
-    tols: ClassifyTols | None = None,
-) -> ClassifiedPoint:
+def classify_critical_point(inst: McInstance, loss: LossSpec, x: np.ndarray) -> ClassifiedPoint:
     """First-order check, then spectral second-order classification, from
     one gradient, one dense Hessian and one eigensolve. The point is
-    canonicalized and judged on the lower-triangular tangent."""
-    tols = tols or ClassifyTols()
+    canonicalized and judged on the lower-triangular tangent.
+
+    A point is critical when its gradient norm is at most 1e-8, a global
+    minimum when f <= 1e-8 max(||M*_Omega||^2, 1), and its eigenvalues count
+    as zero within 1e-7 max(1, |tr H| / dim H)."""
     # At r=1 this only flips signs, and the tangent is the whole space.
     x = canonicalize(x)
     gn = float(np.linalg.norm(gradient(inst, loss, x)))
@@ -410,31 +395,27 @@ def classify_critical_point(
     idx = tangent_indices(inst.n, inst.r)
     lam_min = float(np.linalg.eigh(H[np.ix_(idx, idx)])[0][0])
     f = float(objective(inst, loss, x))
-    tols = tols.resolved(inst, H)
-    if gn > tols.crit_tol:
+    global_tol = 1e-8 * max(inst.omega_scale() ** 2, 1.0)
+    eig_tol = 1e-7 * max(1.0, abs(np.trace(H)) / H.shape[0])
+    if gn > 1e-8:
         kind = Classification.NOT_CRITICAL
-    elif f <= tols.global_tol:
+    elif f <= global_tol:
         kind = Classification.GLOBAL_MIN
-    elif lam_min < -tols.eig_tol:
+    elif lam_min < -eig_tol:
         kind = Classification.STRICT_SADDLE
-    elif lam_min > tols.eig_tol:
+    elif lam_min > eig_tol:
         kind = Classification.SPURIOUS_LOCAL_MIN
     else:
         kind = Classification.DEGENERATE
     return ClassifiedPoint(kind=kind, objective=f, grad_norm=gn, lambda_min=lam_min)
 
 
-def is_success(inst: McInstance, x_hat: np.ndarray, rel_tol: float = 1e-4) -> bool:
-    x_hat = np.asarray(x_hat, dtype=float)
-    if x_hat.ndim == 1:
-        x_hat = x_hat[:, None]
+def is_success(inst: McInstance, X: np.ndarray):
+    """Exact recovery, ||X X^T - M*||_F <= 1e-4 ||M*||_F, batched: a bool for
+    one point, a boolean mask for a stack of points."""
+    X = _check_shape(inst, X)
     M = inst.m_star()
-    err = np.linalg.norm(x_hat @ x_hat.T - M)
-    return bool(err <= rel_tol * np.linalg.norm(M))
-
-
-def is_success_batch(inst: McInstance, X: np.ndarray, rel_tol: float = 1e-4) -> np.ndarray:
-    M = inst.m_star()
-    diff = np.einsum("bir,bjr->bij", X, X) - M
-    errs = np.sqrt(np.einsum("bij,bij->b", diff, diff))
-    return errs <= rel_tol * np.linalg.norm(M)
+    diff = np.einsum("...ir,...jr->...ij", X, X) - M
+    errs = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
+    ok = errs <= 1e-4 * np.linalg.norm(M)
+    return bool(ok) if ok.ndim == 0 else ok

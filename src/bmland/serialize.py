@@ -44,6 +44,12 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def write_json(path: str, obj) -> None:
+    """Write ``obj`` as the package's JSON artifact format: sorted keys,
+    two-space indent, trailing newline."""
+    atomic_write_text(path, _dump_json(obj))
+
+
 def instance_to_json(inst: McInstance) -> str:
     doc = {
         "n": inst.n,

@@ -41,6 +41,13 @@ def test_census_rejects_zero_starts():
         bmland.multistart_census(inst, L2, 0, seed=1)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1e-4, float("nan")])
+def test_census_rejects_nonpositive_dedup_radius(radius):
+    inst = helpers.path_instance(4)
+    with pytest.raises(DimensionMismatch, match="dedup_radius"):
+        bmland.multistart_census(inst, L2, 10, seed=1, dedup_radius=radius)
+
+
 def test_census_with_no_converged_start_is_empty():
     inst = helpers.path_instance(4, gamma=0.05, seed=4)
     report = bmland.multistart_census(inst, L2, 50, seed=1, cfg=GdConfig(max_iters=1))
@@ -58,16 +65,11 @@ def test_check_lower_bound_formulas():
     rep = _empty_report()
     assert bmland.check_lower_bound(rep, None, 1, s_vertices=[1, 2, 3])["bound"] == 6
     assert bmland.check_lower_bound(rep, None, 2, s_vertices=[1, 2, 3])["bound"] == 15
-    orbits = bmland.check_lower_bound(rep, None, 1, s_vertices=[1, 2, 3], count="orbits")
-    assert orbits["bound"] == 3
-    assert not orbits["satisfied"]
     g = bmland.build_named_pattern("example1_path", n=6)
     from_graph = bmland.check_lower_bound(rep, g, 1)  # |S| from the graph MIS
     assert from_graph["bound"] == 6
     with pytest.raises(MissingS):
         bmland.check_lower_bound(rep, None, 1)
-    with pytest.raises(DimensionMismatch):
-        bmland.check_lower_bound(rep, None, 2, s_vertices=[1, 2], count="points")
 
 
 def test_make_gamma_grid_midpoints():

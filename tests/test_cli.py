@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bmland import errors
 from bmland.cli import OUT_DIR_ENV, main
 
 
@@ -101,6 +102,28 @@ def test_validation_error_exit_code_names_field(tmp_path, capsys):
     cfg = _write(tmp_path, "bad.json", _base_cfg())  # census without n_starts
     assert main(["census", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "n_starts" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["descend", "census"])
+def test_nonpositive_divergence_bound_exit_code(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "div.json", _base_cfg(n_starts=20, divergence_bound=-1))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "divergence_bound" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_has_one_exit_category():
+    categories = (errors.ConfigError, errors.NumericalError, errors.IoError)
+    leaves = [c for c in _subclasses(errors.BmlandError) if c not in categories]
+    assert len(leaves) >= 18
+    for cls in leaves:
+        assert sum(issubclass(cls, cat) for cat in categories) == 1, cls.__name__
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -36,7 +36,7 @@ def test_sample_init_rejects_bad_params():
 
 def test_gd_converges_on_unperturbed_instance():
     inst = helpers.path_instance(4)
-    cfg = GdConfig().resolved(inst, None)
+    cfg = GdConfig().resolved(inst)
     for seed in range(5):
         x0 = bmland.sample_radial_init("gaussian", 4, 1, seed=seed)
         res = bmland.gradient_descent(inst, L2, x0)
@@ -68,6 +68,12 @@ def test_gd_config_validation():
         GdConfig(grad_tol=0.0)
     with pytest.raises(DimensionMismatch):
         GdConfig(max_iters=0)
+    # A non-positive divergence bound would mark every start diverged at
+    # iteration 0, and NaN compares false against every bound.
+    for name in ("step", "grad_tol", "divergence_bound"):
+        for bad in (-1.0, 0.0, float("nan")):
+            with pytest.raises(DimensionMismatch, match=name):
+                GdConfig(**{name: bad})
 
 
 def test_batch_matches_single_runs():
@@ -81,11 +87,12 @@ def test_batch_matches_single_runs():
         assert res.status == batch.status[b]
 
 
-def test_chunked_runner_invariant_to_threads():
+def test_chunked_runner_invariant_to_threads(monkeypatch):
     inst = helpers.path_instance(4)
     X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=64)
-    a = run_batch_chunked(inst, L2, X0, GdConfig(), threads=1, chunk_size=16)
-    b = run_batch_chunked(inst, L2, X0, GdConfig(), threads=4, chunk_size=16)
+    monkeypatch.setattr(optimize, "CHUNK_ROWS", 16)
+    a = run_batch_chunked(inst, L2, X0, GdConfig(), threads=1)
+    b = run_batch_chunked(inst, L2, X0, GdConfig(), threads=4)
     for field in dataclasses.fields(a):
         assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
@@ -177,3 +184,25 @@ def test_is_success_sign_and_orbit_invariance():
     inst2 = helpers.star_rank2_instance(gamma=0.0)
     q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((2, 2)))
     assert bmland.is_success(inst2, inst2.x_star @ q)
+
+
+def test_is_success_on_a_stack_matches_each_point():
+    inst = helpers.star_rank2_instance(gamma=0.0)
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    near = inst.x_star @ q
+    # Relative errors on both sides of the 1e-4 threshold, and a far point.
+    X = np.stack([near, -near, near * (1 + 2e-5), near * (1 + 6e-5), rng.standard_normal((8, 2))])
+    mask = bmland.is_success(inst, X)
+    assert mask.dtype == bool and mask.shape == (len(X),)
+    assert list(mask) == [bmland.is_success(inst, x) for x in X]
+    assert list(mask) == [True, True, True, False, False]
+    assert type(bmland.is_success(inst, near)) is bool
+    path = helpers.path_instance(4)
+    assert bmland.is_success(path, path.x_star[:, 0]) is True
+
+
+def test_public_names_resolve():
+    for name in bmland.__all__:
+        assert getattr(bmland, name) is not None, name
+    assert len(set(bmland.__all__)) == len(bmland.__all__)
