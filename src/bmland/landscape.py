@@ -9,8 +9,10 @@ residual once, with batched matmul, and returns the value and the gradient
 from it; ``objective`` and ``gradient`` are its two halves. It broadcasts over
 leading batch axes, so a stack of factors of shape (B, n, r) is processed in
 one call, and so do the orbit maps ``restriction_map`` and ``canonicalize``.
-Each point's result has the same bits whatever stack it is part of. Hessian
-routines operate on a single point.
+Its arithmetic lives in ``_value_and_gradient``, which also takes a stack of
+per-point targets, so one descent can carry the starts of several instances
+over one Omega. Each point's result has the same bits whatever stack it is
+part of. Hessian routines operate on a single point.
 """
 
 from __future__ import annotations
@@ -58,20 +60,32 @@ def _check_shape(inst: McInstance, X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _residual(mask: np.ndarray, target: np.ndarray, X: np.ndarray) -> np.ndarray:
+    R = X @ X.swapaxes(-1, -2)
+    R *= mask
+    R -= target
+    return R
+
+
 def masked_residual(inst: McInstance, X: np.ndarray) -> np.ndarray:
     """(X X^T - M*)_Omega, batched."""
     X = _check_shape(inst, X)
-    R = X @ X.swapaxes(-1, -2)
-    R *= inst.omega.mask()
-    R -= inst.m_star_omega()
-    return R
+    return _residual(inst.omega.mask(), inst.m_star_omega(), X)
 
 
 def value_and_gradient(inst: McInstance, loss: LossSpec, X: np.ndarray):
     """Objective and gradient from one masked residual, batched: the value is
     sum(R^2) and the gradient 4 R X, plus the regularizer's terms."""
     X = _check_shape(inst, X)
-    R = masked_residual(inst, X)
+    return _value_and_gradient(inst.omega.mask(), inst.m_star_omega(), loss, X)
+
+
+def _value_and_gradient(mask: np.ndarray, target: np.ndarray, loss: LossSpec, X: np.ndarray):
+    """``value_and_gradient`` of a checked (..., n, r) stack against observed
+    targets on ``mask``: one (n, n) target for every point, or a stack of
+    per-point targets over the same Omega. A point's bits do not depend on
+    which of the two forms carries its target."""
+    R = _residual(mask, target, X)
     val = np.einsum("...ij,...ij->...", R, R)
     G = R @ X
     G *= 4.0

@@ -86,7 +86,9 @@ class _PairPenalty:
         sizes = np.maximum(_sq_norms(Z[..., :r]), _sq_norms(Z[..., r:]))
         scale = self.inst.omega_scale() + 3.0 * np.maximum(sizes, 1.0)
         steps0 = 0.25 / (4.0 * (self.w0 + self.rho) * scale)
-        return descend_batch(self.value_and_grad, Z, steps0, iters, grad_tol, np.inf).points
+        return descend_batch(
+            lambda Z, idx: self.value_and_grad(Z), Z, steps0, iters, grad_tol, np.inf
+        ).points
 
 
 def estimate_complexity_metric(
@@ -98,8 +100,9 @@ def estimate_complexity_metric(
 ) -> MetricEstimate:
     """Best-so-far upper bound on the ambiguity distance of the observed
     entries; monotone non-increasing in the restart budget at fixed seed."""
-    if separation is not None and separation <= 0:
-        raise DimensionMismatch("separation must be positive")
+    # Written so that NaN fails too.
+    if separation is not None and not separation > 0:
+        raise DimensionMismatch(f"separation must be positive, got {separation!r}")
     if separation is None:
         separation = 1e-3 * float(np.linalg.norm(inst.m_star()))
     feas_tol = 1e-6 * (1.0 + inst.omega_scale())

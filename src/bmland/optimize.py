@@ -3,10 +3,12 @@ Newton refinement, and critical-point classification.
 
 ``descend_batch`` is the one descent loop: it advances a stack of independent
 iterates of any batched value-and-gradient function, and both the factorized
-objective (``gradient_descent_batch``, through ``landscape.value_and_gradient``)
-and the metric's pair penalty run through it. Each step makes one fused call
-on the samples still running. Per-sample arithmetic is identical regardless
-of how the stack is chunked, which keeps experiment outputs bit-stable under
+objective (``gradient_descent_batch``, through ``value_and_gradient``'s
+arithmetic) and the metric's pair penalty run through it. Each step makes one
+fused call on the samples still running. One stack may hold the starts of
+several instances over one Omega, each start with its own target and
+tolerances. Per-sample arithmetic is identical regardless of how the stack is
+chunked or what else it holds, which keeps experiment outputs bit-stable under
 any parallelism degree.
 """
 
@@ -23,12 +25,12 @@ from .instances import McInstance
 from .landscape import (
     LossSpec,
     _check_shape,
+    _value_and_gradient,
     canonicalize,
     dense_hessian,
     gradient,
     objective,
     tangent_indices,
-    value_and_gradient,
 )
 
 STEP_GROWTH = 1.5
@@ -43,6 +45,8 @@ CHUNK_BUDGET_BYTES = 64 * 2**20
 
 class Status(str, enum.Enum):
     CONVERGED = "Converged"
+    # The value stopped decreasing for STALL_LIMIT steps before grad_tol.
+    STALLED = "Stalled"
     MAX_ITERS = "MaxIters"
     DIVERGED = "Diverged"
 
@@ -100,13 +104,14 @@ def sample_radial_init(
     """Gaussian or uniform-ball initialization; deterministic in seed."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     b = 1 if size is None else size
+    # The checks are written so that NaN fails too.
     if dist == "gaussian":
-        if sigma <= 0:
-            raise DimensionMismatch("sigma must be positive")
+        if not sigma > 0:
+            raise DimensionMismatch(f"sigma must be positive, got {sigma!r}")
         out = sigma * rng.standard_normal((b, n, r))
     elif dist == "ball":
-        if radius <= 0:
-            raise DimensionMismatch("radius must be positive")
+        if not radius > 0:
+            raise DimensionMismatch(f"radius must be positive, got {radius!r}")
         direction = rng.standard_normal((b, n, r))
         direction /= np.linalg.norm(direction, axis=(1, 2), keepdims=True)
         u = rng.random((b, 1, 1))
@@ -120,9 +125,9 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bij->b", X, X)
 
 
-def _auto_steps(inst: McInstance, X0: np.ndarray) -> np.ndarray:
-    """Per-sample step from a crude local smoothness bound at the start."""
-    scale = inst.omega_scale()
+def _auto_steps(scale, X0: np.ndarray) -> np.ndarray:
+    """Per-sample step from a crude local smoothness bound at the start, with
+    ``scale`` the ||M*_Omega|| of each start's instance (a scalar or (B,))."""
     return 0.25 / (4.0 * (scale + 3.0 * np.maximum(_sq_norms(X0), 1.0)))
 
 
@@ -145,12 +150,14 @@ class BatchResult:
 
 
 def descend_batch(
-    value_and_grad, X0: np.ndarray, steps0: np.ndarray, max_iters: int, grad_tol: float,
-    divergence_bound: float,
+    value_and_grad, X0: np.ndarray, steps0: np.ndarray, max_iters: int, grad_tol,
+    divergence_bound,
 ) -> BatchResult:
-    """Explicit-Euler gradient descent on a (B, n, k) stack of iterates, with a
-    batched ``value_and_grad`` returning (B,) values and (B, n, k) gradients,
-    and per-sample initial steps.
+    """Explicit-Euler gradient descent on a (B, n, k) stack of iterates, with
+    per-sample initial steps, and per-sample ``grad_tol`` and
+    ``divergence_bound`` (each a scalar or a (B,) array).
+    ``value_and_grad(X, idx)`` returns the (b,) values and (b, n, k) gradients
+    of a (b, n, k) working set whose input indices are ``idx``.
 
     The value is kept monotone per sample: a step that would increase it is
     rejected and the sample's step size halved; steadily accepted samples get
@@ -159,6 +166,10 @@ def descend_batch(
     on the samples still running: the working set is compacted whenever
     samples retire, and a retiring sample's result is written out then. A
     sample's result does not depend on the rest of the stack.
+
+    A sample ends ``Converged`` at its ``grad_tol``, ``Diverged`` past its
+    bound, ``Stalled`` once its value has not decreased for ``STALL_LIMIT``
+    steps, and ``MaxIters`` when it runs out of iterations.
     """
     B = X0.shape[0]
     points = np.empty_like(X0)
@@ -171,24 +182,26 @@ def descend_batch(
     # The working set: input indices of the samples still running, and their state.
     idx = np.arange(B)
     X = X0.copy()
-    f, G = value_and_grad(X)
+    f, G = value_and_grad(X, idx)
     steps = steps0.copy()
+    tol = np.full(B, grad_tol, dtype=float)
+    bound = np.full(B, divergence_bound, dtype=float)
     since_growth = np.zeros(B, dtype=int)
     no_progress = np.zeros(B, dtype=int)
 
     def retire(out, it):
         """Write out the samples flagged in ``out`` and drop them from the working set."""
-        nonlocal idx, X, f, G, gn, steps, since_growth, no_progress
+        nonlocal idx, X, f, G, gn, steps, tol, bound, since_growth, no_progress
         d = idx[out]
         points[d], values[d], grad_norms[d], iters[d] = X[out], f[out], gn[out], it
         keep = ~out
-        idx, X, f, G, gn, steps, since_growth, no_progress = (
-            a[keep] for a in (idx, X, f, G, gn, steps, since_growth, no_progress)
+        idx, X, f, G, gn, steps, tol, bound, since_growth, no_progress = (
+            a[keep] for a in (idx, X, f, G, gn, steps, tol, bound, since_growth, no_progress)
         )
 
     for it in range(max_iters):
         gn = np.sqrt(_sq_norms(G))
-        done = gn <= grad_tol
+        done = gn <= tol
         if done.any():
             status[idx[done]] = Status.CONVERGED
             retire(done, it)
@@ -196,7 +209,7 @@ def descend_batch(
             break
 
         Xnew = X - steps[:, None, None] * G
-        fnew, Gnew = value_and_grad(Xnew)
+        fnew, Gnew = value_and_grad(Xnew, idx)
         increased = fnew > f
         improved = fnew < f
         ok = ~increased
@@ -220,11 +233,12 @@ def descend_batch(
             steps[grow] = np.minimum(steps[grow] * STEP_GROWTH, cap)
             since_growth[grow] = 0
 
-        diverged = ok & (np.sqrt(_sq_norms(X)) > divergence_bound)
+        diverged = ok & (np.sqrt(_sq_norms(X)) > bound)
         out = stalled | diverged
         if out.any():
             # A stalled or diverged sample keeps the gradient norm measured
-            # before its last step.
+            # before its last step; one that is both counts as diverged.
+            status[idx[stalled]] = Status.STALLED
             status[idx[diverged]] = Status.DIVERGED
             retire(out, it)
 
@@ -234,19 +248,56 @@ def descend_batch(
     return BatchResult(points, values, grad_norms, iters, status)
 
 
-def gradient_descent_batch(
-    inst: McInstance, loss: LossSpec, X0: np.ndarray, cfg: GdConfig
-) -> BatchResult:
-    """``descend_batch`` on the factorized objective of ``inst``."""
-    X0 = np.asarray(X0, dtype=float)
-    if X0.ndim == 2:
-        X0 = X0[None]
-    cfg = cfg.resolved(inst)
-    steps0 = np.full(X0.shape[0], cfg.step) if cfg.step is not None else _auto_steps(inst, X0)
-    # Looked up per call, so a wrapper installed on this module name sees each one.
+def _stack(insts, X0):
+    """(instances, flat start stack, instance index of each start) from one
+    instance with a (B, n, r) stack, or from a sequence of instances over one
+    Omega with a matching sequence of start blocks."""
+    if isinstance(insts, McInstance):
+        X0 = np.asarray(X0, dtype=float)
+        insts, blocks = [insts], [X0[None] if X0.ndim == 2 else X0]
+    else:
+        insts, blocks = list(insts), [np.asarray(b, dtype=float) for b in X0]
+        if not insts or len(blocks) != len(insts):
+            raise DimensionMismatch(
+                f"need one block of starts per instance, got {len(blocks)} for {len(insts)}"
+            )
+        first = insts[0]
+        for inst in insts[1:]:
+            if (inst.n, inst.r) != (first.n, first.r) or not np.array_equal(
+                inst.omega.mask(), first.omega.mask()
+            ):
+                raise DimensionMismatch("stacked instances must share n, r and Omega")
+    X0 = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    group = np.repeat(np.arange(len(insts)), [len(b) for b in blocks])
+    return insts, _check_shape(insts[0], X0), group
+
+
+def gradient_descent_batch(insts, loss: LossSpec, X0, cfg: GdConfig) -> BatchResult:
+    """``descend_batch`` on the factorized objective: of one instance with X0
+    a (B, n, r) stack, or of a sequence of instances over one Omega with X0 a
+    matching sequence of start blocks, returned flat, block after block.
+
+    Each start takes its target, auto step, ``grad_tol`` and divergence bound
+    from its own instance (``cfg.resolved``); the targets are kept as one
+    (G, n, n) stack that the kernel gathers from by instance index."""
+    insts, X0, group = _stack(insts, X0)
+    cfgs = [cfg.resolved(inst) for inst in insts]
+    if cfg.step is not None:
+        steps0 = np.full(len(X0), cfg.step)
+    else:
+        steps0 = _auto_steps(np.array([inst.omega_scale() for inst in insts])[group], X0)
+    mask = insts[0].omega.mask()
+    targets = np.stack([inst.m_star_omega() for inst in insts])
+
+    def value_and_grad(X, idx):
+        # One instance broadcasts its target; only a mixed stack gathers.
+        target = targets[0] if len(targets) == 1 else targets[group[idx]]
+        return _value_and_gradient(mask, target, loss, X)
+
     return descend_batch(
-        lambda X: value_and_gradient(inst, loss, X),
-        X0, steps0, cfg.max_iters, cfg.grad_tol, cfg.divergence_bound,
+        value_and_grad, X0, steps0, cfg.max_iters,
+        np.array([c.grad_tol for c in cfgs])[group],
+        np.array([c.divergence_bound for c in cfgs])[group],
     )
 
 
@@ -264,24 +315,36 @@ def gradient_descent(
     )
 
 
-def run_batch_chunked(inst, loss, X0, cfg, threads: int = 1):
-    """Chunked batch runner; chunk boundaries are fixed independently of the
-    thread count, so outputs are identical for any parallelism degree.
+def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1):
+    """``gradient_descent_batch`` over fixed chunks of the flat start stack.
+
+    Takes one instance with its stack, or a sequence of instances over one
+    Omega with one block of starts each, and returns one flat ``BatchResult``.
+    Chunk boundaries are fixed independently of the thread count and of the
+    block boundaries, so outputs are identical for any parallelism degree and
+    each start's result is the one its instance would get run alone. A chunk
+    inside one block goes out as that instance with its rows, and one that
+    spans blocks as the sequences of their instances and rows.
 
     A chunk has at most ``CHUNK_ROWS`` rows, and fewer when a (rows, n, n)
     temporary of the descent would exceed ``CHUNK_BUDGET_BYTES``."""
-    X0 = np.asarray(X0, dtype=float)
+    insts, X0, group = _stack(insts, X0)
     B, n = X0.shape[:2]
     rows = min(CHUNK_ROWS, max(1, CHUNK_BUDGET_BYTES // (8 * n * n)))
-    bounds = [(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
-    if threads <= 1 or len(bounds) == 1:
-        parts = [gradient_descent_batch(inst, loss, X0[lo:hi], cfg) for lo, hi in bounds]
+
+    def chunk(lo, hi):
+        first, last = group[lo], group[hi - 1]
+        if first == last:
+            return insts[first], X0[lo:hi]
+        cuts = np.searchsorted(group[lo:hi], np.arange(first + 1, last + 1))
+        return insts[first : last + 1], np.split(X0[lo:hi], cuts)
+
+    chunks = [chunk(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
+    if threads <= 1 or len(chunks) == 1:
+        parts = [gradient_descent_batch(i, loss, x, cfg) for i, x in chunks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(gradient_descent_batch, inst, loss, X0[lo:hi], cfg)
-                for lo, hi in bounds
-            ]
+            futures = [pool.submit(gradient_descent_batch, i, loss, x, cfg) for i, x in chunks]
             parts = [fut.result() for fut in futures]
     return BatchResult(
         *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(BatchResult))

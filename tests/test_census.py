@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bmland
-from bmland import Classification, GdConfig
+from bmland import Classification, GdConfig, census, optimize
 from bmland.census import CensusReport
 from bmland.errors import DimensionMismatch, MissingS, UnmatchedEndpoint
 from bmland.serialize import census_report_to_json
@@ -107,6 +107,47 @@ def test_success_rate_experiment_unperturbed_rate():
     assert abs(row.rate - 0.5) <= 3 * np.sqrt(0.25 / 400)
     assert row.wilson_ci_low <= row.rate <= row.wilson_ci_high
     assert row.rate == pytest.approx(row.successes / row.trials)
+
+
+def _sweep_spec(trials):
+    s = [1, 4, 7]
+    g = bmland.build_erdos_renyi(8, 0.3, s, seed=5)
+    return bmland.SuccessRateSpec(
+        graph=g, s_vertices=frozenset(s), n=8, r=1,
+        gamma_grid=bmland.make_gamma_grid(3), trials=trials, seed=2,
+    )
+
+
+def test_success_rate_experiment_invariant_to_threads_and_chunks(monkeypatch):
+    spec, cfg = _sweep_spec(40), GdConfig(max_iters=3000)
+    one_chunk = bmland.success_rate_experiment(spec, cfg, threads=1).rows
+    # 16-row chunks: most span two gammas, and the pool runs them.
+    monkeypatch.setattr(optimize, "CHUNK_ROWS", 16)
+    for threads in (1, 4):
+        assert bmland.success_rate_experiment(spec, cfg, threads=threads).rows == one_chunk
+    assert 0 < sum(row.successes for row in one_chunk) < 3 * 40
+
+
+def test_products_route_descents_through_census_runner(monkeypatch):
+    # The benchmark counts descent verdicts by wrapping this one name.
+    calls = []
+    runner = census.run_batch_chunked
+
+    def counting(*args, **kwargs):
+        res = runner(*args, **kwargs)
+        calls.append(len(res.status))
+        return res
+
+    monkeypatch.setattr(census, "run_batch_chunked", counting)
+    spec = _sweep_spec(7)
+    bmland.success_rate_experiment(spec, GdConfig(max_iters=50), threads=2)
+    assert calls == [len(spec.gamma_grid) * spec.trials]
+    calls.clear()
+    bmland.multistart_census(helpers.path_instance(4), L2, 25, seed=1)
+    assert calls == [25]
+    calls.clear()
+    bmland.estimate_complexity_metric(helpers.path_instance(4), bmland.MetricBudget(restarts=6, iters=20))
+    assert calls == [6]
 
 
 def test_success_rate_spec_validation():

@@ -44,8 +44,9 @@ def test_budget_validation():
     with pytest.raises(DimensionMismatch):
         bmland.MetricBudget(iters=0)
     inst = helpers.path_instance(4)
-    with pytest.raises(DimensionMismatch):
-        bmland.estimate_complexity_metric(inst, bmland.MetricBudget(), separation=-1.0)
+    for bad in (-1.0, 0.0, float("nan")):
+        with pytest.raises(DimensionMismatch, match="separation"):
+            bmland.estimate_complexity_metric(inst, bmland.MetricBudget(), separation=bad)
 
 
 def _random_pairs(inst, size, seed):

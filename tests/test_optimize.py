@@ -28,8 +28,11 @@ def test_sample_ball_within_radius():
 
 
 def test_sample_init_rejects_bad_params():
-    with pytest.raises(DimensionMismatch):
-        bmland.sample_radial_init("gaussian", 4, 1, seed=0, sigma=-1.0)
+    for bad in (-1.0, 0.0, float("nan")):
+        with pytest.raises(DimensionMismatch, match="sigma"):
+            bmland.sample_radial_init("gaussian", 4, 1, seed=0, sigma=bad)
+        with pytest.raises(DimensionMismatch, match="radius"):
+            bmland.sample_radial_init("ball", 4, 1, seed=0, radius=bad)
     with pytest.raises(DimensionMismatch):
         bmland.sample_radial_init("cauchy", 4, 1, seed=0)
 
@@ -110,7 +113,7 @@ def test_retiring_samples_match_single_runs():
     X0 = np.array([[0, 0.5, 0], [1050, 0, 0], [0, 0.1, 0], [1000, 0, 0.1]])[..., None]
     cfg = GdConfig(step=3e-7, max_iters=600, divergence_bound=1200.0)
     batch = bmland.gradient_descent_batch(inst, L2, X0, cfg)
-    assert list(batch.status) == [Status.MAX_ITERS, Status.CONVERGED, Status.MAX_ITERS, Status.DIVERGED]
+    assert list(batch.status) == [Status.MAX_ITERS, Status.CONVERGED, Status.STALLED, Status.DIVERGED]
     assert batch.iters[0] == 600 and 0 < batch.iters[2] < 600
     assert 0 < batch.iters[1] < 600 and 0 < batch.iters[3] < 600
     assert np.array_equal(batch.values, bmland.objective(inst, L2, batch.points))
@@ -118,6 +121,52 @@ def test_retiring_samples_match_single_runs():
         alone = bmland.gradient_descent_batch(inst, L2, X0[b : b + 1], cfg)
         for field in dataclasses.fields(alone):
             assert np.array_equal(getattr(alone, field.name)[0], getattr(batch, field.name)[b])
+
+
+def test_stacked_instances_match_each_block_alone(monkeypatch):
+    # Two instances over one Omega whose resolved grad_tol (1.4e-3, 2.4e-9)
+    # and divergence bound (14152, 24.1) differ: the truth (1000, 0, 1000) of
+    # test_retiring_samples_match_single_runs, and (1, 0, 1). From (0, 200, 0)
+    # the first step lands past the small instance's bound, and at
+    # (1 + 1e-5, 0, 1) the gradient is below the large instance's grad_tol
+    # but not the small one's.
+    base = helpers.path_instance(3)
+    big = bmland.assemble_instance(1000.0 * base.x_star, base.omega, base.graph, [1, 3])
+    small = bmland.assemble_instance(base.x_star, base.omega, base.graph, [1, 3])
+    blocks = [
+        np.array([[0, 0.5, 0], [1050, 0, 0], [0, 0.1, 0], [1000, 0, 0.1]])[..., None],
+        np.array([[0, 200, 0], [1.1, 0, 0.9], [0, 0.1, 0], [1 + 1e-5, 0, 1]])[..., None],
+    ]
+    # Chunks of three rows: one of them spans the two blocks.
+    monkeypatch.setattr(optimize, "CHUNK_ROWS", 3)
+    # A fixed step, and the auto step each start takes from its instance.
+    for cfg in (GdConfig(step=3e-7, max_iters=600), GdConfig(max_iters=600)):
+        alone = [bmland.gradient_descent_batch(i, L2, X, cfg) for i, X in zip((big, small), blocks)]
+        expected = {
+            f.name: np.concatenate([getattr(a, f.name) for a in alone])
+            for f in dataclasses.fields(alone[0])
+        }
+        stacked = [bmland.gradient_descent_batch([big, small], L2, blocks, cfg)]
+        for threads in (1, 2):
+            stacked.append(run_batch_chunked([big, small], L2, blocks, cfg, threads=threads))
+        for res in stacked:
+            for name, want in expected.items():
+                assert np.array_equal(getattr(res, name), want), name
+        if cfg.step is not None:
+            assert list(expected["status"]) == [
+                Status.MAX_ITERS, Status.CONVERGED, Status.STALLED, Status.CONVERGED,
+                Status.DIVERGED, Status.MAX_ITERS, Status.MAX_ITERS, Status.MAX_ITERS,
+            ]
+
+
+def test_stack_rejects_mismatched_instances():
+    a = helpers.path_instance(4)
+    b = helpers.path_instance(5)
+    X = bmland.sample_radial_init("gaussian", 4, 1, seed=0, size=2)
+    with pytest.raises(DimensionMismatch, match="one block"):
+        run_batch_chunked([a, a], L2, [X], GdConfig())
+    with pytest.raises(DimensionMismatch, match="share"):
+        run_batch_chunked([a, b], L2, [X, X], GdConfig())
 
 
 def test_chunk_rows_capped_by_memory_budget(monkeypatch):
