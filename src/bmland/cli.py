@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON or key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory (overrides config and env)")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default: config or 1)")
+        p.add_argument("--threads", type=int, default=None, help="worker processes (default: config or 1)")
     return parser
 
 

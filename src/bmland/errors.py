@@ -85,8 +85,14 @@ class ConfigParseError(ConfigError):
 class ValidationError(ConfigError):
     def __init__(self, field, message=None):
         self.field = field
+        self.message = message
         detail = f": {message}" if message else ""
         super().__init__(f"config field {field!r}{detail}")
+
+    def __reduce__(self):
+        # Unpickling calls the class with ``args``, here the formatted text;
+        # rebuild from the fields instead, so the error crosses a process pool.
+        return type(self), (self.field, self.message)
 
 
 class IoError(BmlandError):

@@ -87,7 +87,8 @@ def build_canonical_ground_truth(
 
 def perturb(x_star: np.ndarray, gamma: float, seed: int) -> np.ndarray:
     """x* + gamma * eps with eps Gaussian, normalized to unit Frobenius norm."""
-    if gamma < 0:
+    # Written so that NaN fails too.
+    if not gamma >= 0:
         raise DimensionMismatch("gamma must be nonnegative")
     x_star = np.asarray(x_star, dtype=float)
     if gamma == 0.0:

@@ -40,7 +40,8 @@ class LossSpec:
 
     @classmethod
     def l2_regularized(cls, lam: float, alpha: float) -> "LossSpec":
-        if lam <= 0 or alpha <= 0:
+        # Written so that NaN fails too.
+        if not lam > 0 or not alpha > 0:
             raise DimensionMismatch("lambda and alpha must be positive")
         return cls(lam=lam, alpha=alpha)
 

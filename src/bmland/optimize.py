@@ -7,15 +7,17 @@ objective (``gradient_descent_batch``, through ``value_and_gradient``'s
 arithmetic) and the metric's pair penalty run through it. Each step makes one
 fused call on the samples still running. One stack may hold the starts of
 several instances over one Omega, each start with its own target and
-tolerances. Per-sample arithmetic is identical regardless of how the stack is
-chunked or what else it holds, which keeps experiment outputs bit-stable under
-any parallelism degree.
+tolerances. ``run_batch_chunked`` splits a large stack into chunks and runs
+them in forked worker processes. Per-sample arithmetic is identical regardless
+of how the stack is chunked or what else it holds, which keeps experiment
+outputs bit-stable under any number of workers.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -41,6 +43,10 @@ STALL_LIMIT = 500
 # float temporary of its descent may take.
 CHUNK_ROWS = 4096
 CHUNK_BUDGET_BYTES = 64 * 2**20
+# The fewest rows a chunk is cut to for the sake of parallelism. A descent of
+# 256 starts over one step took 32 ms on a two-worker fork pool against 0.5 ms
+# in-process (2-core x86 VM), so a chunk must carry enough work to pay for it.
+MIN_CHUNK_ROWS = 128
 
 
 class Status(str, enum.Enum):
@@ -315,22 +321,43 @@ def gradient_descent(
     )
 
 
+def _chunk_bounds(B: int, n: int, threads: int) -> np.ndarray:
+    """Boundaries of the chunks of a B-row stack of (n, r) starts: k + 1
+    increasing indices from 0 to B that cut it into k near-equal chunks.
+
+    A chunk has at most ``CHUNK_ROWS`` rows, and fewer when a (rows, n, n)
+    temporary of the descent would exceed ``CHUNK_BUDGET_BYTES``. A stack
+    large enough is cut into at least ``threads`` chunks of at least
+    ``MIN_CHUNK_ROWS`` rows each, so that every worker gets one."""
+    rows = min(CHUNK_ROWS, max(1, CHUNK_BUDGET_BYTES // (8 * n * n)))
+    k = max(-(-B // rows), min(threads, B // MIN_CHUNK_ROWS))
+    return np.arange(k + 1) * B // k
+
+
+def _descend_chunk(insts, loss, X0, cfg):
+    # Submitted to the pool by reference; it looks ``gradient_descent_batch``
+    # up in this module's globals, which a forked worker inherits as they are.
+    return gradient_descent_batch(insts, loss, X0, cfg)
+
+
 def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1):
-    """``gradient_descent_batch`` over fixed chunks of the flat start stack.
+    """``gradient_descent_batch`` over chunks of the flat start stack, run in
+    ``threads`` worker processes.
 
     Takes one instance with its stack, or a sequence of instances over one
     Omega with one block of starts each, and returns one flat ``BatchResult``.
-    Chunk boundaries are fixed independently of the thread count and of the
-    block boundaries, so outputs are identical for any parallelism degree and
-    each start's result is the one its instance would get run alone. A chunk
-    inside one block goes out as that instance with its rows, and one that
-    spans blocks as the sequences of their instances and rows.
+    The chunks (``_chunk_bounds``) ignore the block boundaries. A chunk inside
+    one block goes out as that instance with its rows, and one that spans
+    blocks as the sequences of their instances and rows. A start's result
+    does not depend on its chunk, so outputs are identical for any
+    ``threads`` and each start's result is the one its instance would get run
+    alone.
 
-    A chunk has at most ``CHUNK_ROWS`` rows, and fewer when a (rows, n, n)
-    temporary of the descent would exceed ``CHUNK_BUDGET_BYTES``."""
+    One chunk, or ``threads=1``, runs in this process. Otherwise the chunks
+    go to a pool of ``min(threads, chunks)`` processes started with ``fork``
+    (Linux and macOS), and an error raised in a worker is raised here."""
     insts, X0, group = _stack(insts, X0)
-    B, n = X0.shape[:2]
-    rows = min(CHUNK_ROWS, max(1, CHUNK_BUDGET_BYTES // (8 * n * n)))
+    bounds = _chunk_bounds(len(X0), X0.shape[1], threads)
 
     def chunk(lo, hi):
         first, last = group[lo], group[hi - 1]
@@ -339,12 +366,14 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1):
         cuts = np.searchsorted(group[lo:hi], np.arange(first + 1, last + 1))
         return insts[first : last + 1], np.split(X0[lo:hi], cuts)
 
-    chunks = [chunk(lo, min(lo + rows, B)) for lo in range(0, B, rows)]
+    chunks = [chunk(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if threads <= 1 or len(chunks) == 1:
-        parts = [gradient_descent_batch(i, loss, x, cfg) for i, x in chunks]
+        parts = [_descend_chunk(i, loss, x, cfg) for i, x in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(gradient_descent_batch, i, loss, x, cfg) for i, x in chunks]
+        with ProcessPoolExecutor(
+            max_workers=min(threads, len(chunks)), mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            futures = [pool.submit(_descend_chunk, i, loss, x, cfg) for i, x in chunks]
             parts = [fut.result() for fut in futures]
     return BatchResult(
         *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(BatchResult))

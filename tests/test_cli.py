@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -124,6 +125,14 @@ def test_every_error_has_one_exit_category():
     assert len(leaves) >= 18
     for cls in leaves:
         assert sum(issubclass(cls, cat) for cat in categories) == 1, cls.__name__
+
+
+def test_every_error_survives_pickling():
+    # Errors raised in a worker process reach the caller through pickle.
+    for cls in [errors.BmlandError, *_subclasses(errors.BmlandError)]:
+        err = cls("threads", "must be >= 1") if cls is errors.ValidationError else cls("boom")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls and str(back) == str(err), cls.__name__
 
 
 def test_numerical_failure_exit_code(tmp_path):

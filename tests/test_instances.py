@@ -38,8 +38,9 @@ def test_perturb_properties():
     # same seed scales the same direction
     z = bmland.perturb(x, 0.5, 3)
     assert np.allclose(z - x, 2.0 * (y - x))
-    with pytest.raises(DimensionMismatch):
-        bmland.perturb(x, -0.1, 3)
+    for gamma in (-0.1, np.nan):
+        with pytest.raises(DimensionMismatch, match="gamma"):
+            bmland.perturb(x, gamma, 3)
 
 
 def test_assemble_instance_shapes():

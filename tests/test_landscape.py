@@ -40,8 +40,10 @@ def test_regularizer_inactive_below_alpha():
     assert bmland.objective(inst, reg, X) == pytest.approx(bmland.objective(inst, L2, X))
     tight = LossSpec.l2_regularized(2.0, 0.01)
     assert bmland.objective(inst, tight, X) > bmland.objective(inst, L2, X)
-    with pytest.raises(DimensionMismatch):
-        LossSpec.l2_regularized(-1.0, 1.0)
+    # NaN used to give a spec whose regularizer was silently inactive.
+    for lam, alpha in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(DimensionMismatch):
+            LossSpec.l2_regularized(lam, alpha)
 
 
 def test_gradient_zero_at_global_minimum():

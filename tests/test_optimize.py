@@ -1,11 +1,12 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 import bmland
 from bmland import Classification, GdConfig, Status, optimize
-from bmland.errors import DimensionMismatch, NotNearCritical
+from bmland.errors import DimensionMismatch, NotNearCritical, ValidationError
 from bmland.optimize import run_batch_chunked
 
 import helpers
@@ -169,24 +170,69 @@ def test_stack_rejects_mismatched_instances():
         run_batch_chunked([a, b], L2, [X, X], GdConfig())
 
 
+def test_chunk_plan_covers_stack_in_near_equal_chunks():
+    rows = optimize.CHUNK_ROWS  # the byte budget allows more at these n
+    for B in (1, 30, 127, 255, 256, 300, 500, 3000, 40_000, 50_000):
+        for n in (6, 8, 20):
+            for threads in (1, 2, 4):
+                sizes = np.diff(optimize._chunk_bounds(B, n, threads))
+                assert sizes.sum() == B and sizes.min() >= 1
+                assert sizes.max() - sizes.min() <= 1 and sizes.max() <= rows
+                needed = -(-B // rows)
+                if threads == 1:
+                    # As many chunks as the row cap needs, and no more.
+                    assert len(sizes) == needed
+                # A chunk per worker once every chunk can keep MIN_CHUNK_ROWS.
+                assert len(sizes) == max(needed, min(threads, B // optimize.MIN_CHUNK_ROWS))
+                if len(sizes) > needed:
+                    assert sizes.min() >= optimize.MIN_CHUNK_ROWS
+
+
+def test_chunk_plan_of_product_sizes():
+    def sizes(B, n, threads):
+        return list(np.diff(optimize._chunk_bounds(B, n, threads)))
+
+    # The sweep and the rank-2 census get a chunk per worker, the metric's
+    # 30-start census stays whole, and a stack over the row cap is cut by it.
+    assert sizes(300, 20, 2) == [150, 150]
+    assert sizes(500, 8, 2) == [250, 250] and sizes(500, 8, 1) == [500]
+    assert sizes(30, 6, 2) == [30]
+    assert sizes(40_000, 6, 2) == [4000] * 10 == sizes(40_000, 6, 1)
+    assert sizes(3000, 20, 4) == [750] * 4
+    assert sizes(300, 20, 4) == [150, 150]
+    assert len(sizes(50_000, 8, 4)) == 13
+
+
 def test_chunk_rows_capped_by_memory_budget(monkeypatch):
     inst = helpers.path_instance(4)
     X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=10)
     monkeypatch.setattr(optimize, "CHUNK_BUDGET_BYTES", 3 * 8 * 4 * 4)  # three (4, 4) arrays
-    descend = optimize.gradient_descent_batch
-    rows = []
-
-    def recording(inst, loss, X, cfg):
-        rows.append(len(X))
-        return descend(inst, loss, X, cfg)
-
-    monkeypatch.setattr(optimize, "gradient_descent_batch", recording)
+    for threads in (1, 2):
+        assert list(np.diff(optimize._chunk_bounds(10, 4, threads))) == [2, 3, 2, 3]
     one = run_batch_chunked(inst, L2, X0, GdConfig(), threads=1)
     two = run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
-    assert sorted(rows) == [1, 1, 3, 3, 3, 3, 3, 3]
-    for other in (two, descend(inst, L2, X0, GdConfig())):
+    for other in (two, optimize.gradient_descent_batch(inst, L2, X0, GdConfig())):
         for field in dataclasses.fields(one):
             assert np.array_equal(getattr(one, field.name), getattr(other, field.name))
+
+
+def test_worker_error_reaches_caller_with_its_type(monkeypatch):
+    inst = helpers.path_instance(4)
+    X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=64)
+    monkeypatch.setattr(optimize, "CHUNK_ROWS", 16)
+    parent = os.getpid()
+    descend = optimize.gradient_descent_batch
+
+    def failing_in_worker(*args):
+        if os.getpid() != parent:
+            raise ValidationError("threads", "must be >= 1")
+        return descend(*args)
+
+    monkeypatch.setattr(optimize, "gradient_descent_batch", failing_in_worker)
+    with pytest.raises(ValidationError) as info:
+        run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
+    assert info.value.field == "threads"
+    assert str(info.value) == "config field 'threads': must be >= 1"
 
 
 def test_newton_refine_polishes_gd_endpoint():
