@@ -107,9 +107,10 @@ def _gd_config(cfg: dict) -> GdConfig:
 
 def _loss(cfg: dict) -> LossSpec:
     lam = require(cfg, "reg_lambda", float, default=0.0)
-    if lam > 0:
-        return LossSpec.l2_regularized(lam, require(cfg, "reg_alpha", float))
-    return LossSpec.l2()
+    if lam == 0.0:
+        return LossSpec.l2()
+    # Any other value, NaN and negatives included, is validated there.
+    return LossSpec.l2_regularized(lam, require(cfg, "reg_alpha", float))
 
 
 def _out_path(cfg: dict, args, default_name: str) -> str:

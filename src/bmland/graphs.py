@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,17 @@ class BlockSparsityGraph:
 
 class MeasurementSet:
     """Symmetric set of observed entries of an n x n matrix, held as a
-    read-only 0/1 mask; ``entries`` lists them 1-based."""
+    read-only 0/1 mask; ``entries`` lists them 1-based.
+
+    The objective kernel reads Omega as padded row neighbor lists, built
+    from the mask on first use and cached (read-only): row i observes the
+    columns ``cols[i, k]`` with ``valid[i, k] = 1``, in increasing order, and
+    the (n, d) arrays are padded to the largest row degree d. A padding
+    entry has ``valid`` 0 and names column n, which does not exist:
+    ``row_products`` reads it as a zero row. When 2d > n the lists are the
+    identity layout instead (``dense``): d = n, ``cols[i] = arange(n)``, and
+    ``valid`` is the mask itself.
+    """
 
     def __init__(self, n: int, r: int, mask: np.ndarray):
         mask = np.array(mask, dtype=bool)
@@ -111,6 +122,50 @@ class MeasurementSet:
 
     def mask(self) -> np.ndarray:
         return self._mask
+
+    @cached_property
+    def _lists(self) -> tuple[np.ndarray, np.ndarray]:
+        observed = self._mask > 0
+        degree = np.count_nonzero(observed, axis=1)
+        d = int(degree.max(initial=0))
+        if 2 * d > self.n:
+            cols, valid = np.tile(np.arange(self.n), (self.n, 1)), self._mask
+        else:
+            valid = (np.arange(d) < degree[:, None]).astype(float)
+            valid.setflags(write=False)
+            # A stable sort puts each row's observed columns first, in order;
+            # padding entries name column n, which does not exist.
+            cols = np.argsort(~observed, axis=1, kind="stable")[:, :d]
+            cols = np.where(valid > 0, cols, self.n)
+        cols.setflags(write=False)
+        return cols, valid
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._lists[0]
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self._lists[1]
+
+    @property
+    def dense(self) -> bool:
+        """Whether the row lists are the identity layout, d = n."""
+        return self.cols.shape[1] == self.n
+
+    def row_products(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The products X_i . X_cols[i, k] of a (b, n, r) stack on the
+        padded row lists, batch-last: the gathered rows Xg, (n, d, r, b),
+        and the products, (n, d, b), with the rank summed in order and 0 on
+        padding entries."""
+        b, n, r = X.shape
+        Xt = np.zeros((n + 1, r, b))
+        Xt[:n] = X.transpose(1, 2, 0)
+        Xg = Xt[self.cols]
+        P = Xt[:n, None, 0] * Xg[:, :, 0]
+        for a in range(1, r):
+            P += Xt[:n, None, a] * Xg[:, :, a]
+        return Xg, P
 
     @property
     def entries(self) -> frozenset:

@@ -39,6 +39,7 @@ class McInstance:
                 f"omega is over [{self.omega.n}]^2, instance has n={self.n}"
             )
         self._m_omega = None
+        self._targets = None
 
     def m_star(self) -> np.ndarray:
         return self.x_star @ self.x_star.T
@@ -50,6 +51,20 @@ class McInstance:
             mo.setflags(write=False)
             self._m_omega = mo
         return self._m_omega
+
+    def observed_targets(self) -> np.ndarray:
+        """Observed entries of M* in Omega's (n, d) row-list layout, cached
+        (write-once). The identity layout's are ``m_star_omega()`` itself;
+        otherwise they are the objective kernel's own products of the ground
+        truth, so that its residual there is exactly zero."""
+        if self._targets is None:
+            if self.omega.dense:
+                self._targets = self.m_star_omega()
+            else:
+                t = self.omega.row_products(self.x_star[None])[1][..., 0]
+                t.setflags(write=False)
+                self._targets = t
+        return self._targets
 
     def omega_scale(self) -> float:
         return float(np.linalg.norm(self.m_star_omega()))

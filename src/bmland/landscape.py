@@ -5,14 +5,21 @@ g(R) = ||R||_F^2, optionally plus the row-norm regularizer
 Q(X) = lambda * sum_i (||X_i|| - alpha)_+^4.
 
 ``value_and_gradient`` is the one objective kernel: it forms the masked
-residual once, with batched matmul, and returns the value and the gradient
-from it; ``objective`` and ``gradient`` are its two halves. It broadcasts over
-leading batch axes, so a stack of factors of shape (B, n, r) is processed in
-one call, and so do the orbit maps ``restriction_map`` and ``canonicalize``.
-Its arithmetic lives in ``_value_and_gradient``, which also takes a stack of
-per-point targets, so one descent can carry the starts of several instances
-over one Omega. Each point's result has the same bits whatever stack it is
-part of. Hessian routines operate on a single point.
+residual once and returns the value and the gradient from it; ``objective``
+and ``gradient`` are its two halves. It reads Omega as padded row neighbor
+lists (``MeasurementSet.cols``, (n, d) with d the largest row degree), so a
+point costs O(n d r), not O(n^2 r). When 2d > n the lists are the identity
+layout and the kernel forms the dense (n, n) residual instead: X X^T (an
+elementwise product at r = 1, batched matmul otherwise), with an einsum
+value. On the row lists it gathers the observed rows, works batch-last, and
+takes the value as a pairwise sum. It broadcasts over leading batch axes, so
+a stack of factors of shape (B, n, r) is processed in one call, and so do the
+orbit maps ``restriction_map`` and ``canonicalize``. Its arithmetic lives in
+``_value_and_gradient``, which also takes a stack of per-point targets, so
+one descent can carry the starts of several instances over one Omega. Each
+point's result has the same bits whatever stack it is part of.
+``masked_residual`` and the Hessian routines work on the dense mask, on a
+single point.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
+from .graphs import MeasurementSet
 from .instances import McInstance
 
 SIGN_TOL = 1e-9
@@ -62,14 +70,17 @@ def _check_shape(inst: McInstance, X: np.ndarray) -> np.ndarray:
 
 
 def _residual(mask: np.ndarray, target: np.ndarray, X: np.ndarray) -> np.ndarray:
-    R = X @ X.swapaxes(-1, -2)
+    """Dense (..., n, n) residual (X X^T) * mask - target."""
+    # At r = 1 the outer product is elementwise: the same bits as the
+    # matmul, without one BLAS call per point.
+    R = X * X.swapaxes(-1, -2) if X.shape[-1] == 1 else X @ X.swapaxes(-1, -2)
     R *= mask
     R -= target
     return R
 
 
 def masked_residual(inst: McInstance, X: np.ndarray) -> np.ndarray:
-    """(X X^T - M*)_Omega, batched."""
+    """(X X^T - M*)_Omega, batched, as a dense (..., n, n) array."""
     X = _check_shape(inst, X)
     return _residual(inst.omega.mask(), inst.m_star_omega(), X)
 
@@ -78,17 +89,21 @@ def value_and_gradient(inst: McInstance, loss: LossSpec, X: np.ndarray):
     """Objective and gradient from one masked residual, batched: the value is
     sum(R^2) and the gradient 4 R X, plus the regularizer's terms."""
     X = _check_shape(inst, X)
-    return _value_and_gradient(inst.omega.mask(), inst.m_star_omega(), loss, X)
+    return _value_and_gradient(inst.omega, inst.observed_targets(), loss, X)
 
 
-def _value_and_gradient(mask: np.ndarray, target: np.ndarray, loss: LossSpec, X: np.ndarray):
+def _value_and_gradient(omega: MeasurementSet, target: np.ndarray, loss: LossSpec, X: np.ndarray):
     """``value_and_gradient`` of a checked (..., n, r) stack against observed
-    targets on ``mask``: one (n, n) target for every point, or a stack of
-    per-point targets over the same Omega. A point's bits do not depend on
-    which of the two forms carries its target."""
-    R = _residual(mask, target, X)
-    val = np.einsum("...ij,...ij->...", R, R)
-    G = R @ X
+    targets in ``omega``'s (n, d) row-list layout: one (n, d) target for
+    every point, or a (..., n, d) stack of per-point targets over the same
+    Omega. A point's bits do not depend on which of the two forms carries its
+    target, nor on the rest of the stack."""
+    if omega.dense:
+        R = _residual(omega.valid, target, X)
+        val = np.einsum("...ij,...ij->...", R, R)
+        G = R @ X
+    else:
+        val, G = _row_list_terms(omega, target, X)
     G *= 4.0
     if loss.regularized:
         t = np.linalg.norm(X, axis=-1)
@@ -97,6 +112,46 @@ def _value_and_gradient(mask: np.ndarray, target: np.ndarray, loss: LossSpec, X:
         coef = np.where(excess > 0, 4.0 * loss.lam * excess**3 / np.maximum(t, 1e-300), 0.0)
         G += coef[..., None] * X
     return (float(val) if val.ndim == 0 else val), G
+
+
+def _row_list_terms(omega: MeasurementSet, target: np.ndarray, X: np.ndarray):
+    """sum(R^2) and sum_k R[i, k] X_cols[i, k] of the residual on Omega's
+    padded row lists, R[i, k] = X_i . X_cols[i, k] - target[i, k], in
+    O(n d r) per point.
+
+    The arithmetic runs batch-last, on (n, d, b) arrays, so that each
+    operation sweeps the stack in long loops even when n and d are small.
+    Each entry of R and of the gradient is an elementwise sum in a fixed
+    order, and the value a pairwise sum over one point's contiguous row of
+    R^2, so a point's bits do not depend on the stack around it."""
+    lead, (n, r), d = X.shape[:-2], X.shape[-2:], omega.cols.shape[1]
+    Xg, R = omega.row_products(X.reshape(-1, n, r))
+    b = R.shape[-1]
+    R -= target[..., None] if target.ndim == 2 else target.reshape(b, n, d).transpose(1, 2, 0)
+    if d:
+        # Row i of the gradient sums R[i, k] Xg[i, k] over k: the products
+        # are formed in place, then summed by pairwise halving.
+        Xg *= R[:, :, None]
+        G = _halving_sum(Xg.transpose(1, 0, 2, 3)).transpose(2, 0, 1).copy()
+    else:
+        G = np.zeros((b, n, r))
+    sq = np.empty((b, n, d))
+    np.square(R.transpose(2, 0, 1), out=sq)
+    val = sq.reshape(b, n * d).sum(axis=-1)
+    return val.reshape(lead), G.reshape(lead + (n, r))
+
+
+def _halving_sum(A: np.ndarray) -> np.ndarray:
+    """Sum of A over its first, nonempty axis by pairwise halving, in place
+    and in elementwise adds only, so that each entry's bits do not depend on
+    the sizes of the other axes."""
+    while len(A) > 1:
+        h, odd = divmod(len(A), 2)
+        A[:h] += A[h : 2 * h]
+        if odd:
+            A[h - 1] += A[-1]
+        A = A[:h]
+    return A[0]
 
 
 def objective(inst: McInstance, loss: LossSpec, X: np.ndarray):

@@ -8,7 +8,9 @@ arithmetic) and the metric's pair penalty run through it. Each step makes one
 fused call on the samples still running. One stack may hold the starts of
 several instances over one Omega, each start with its own target and
 tolerances. ``run_batch_chunked`` splits a large stack into chunks and runs
-them in forked worker processes. Per-sample arithmetic is identical regardless
+them in forked worker processes; a chunk's rows are capped so that one
+(rows, n, d) temporary of the kernel, d the width of Omega's row lists,
+stays within a fixed byte budget. Per-sample arithmetic is identical regardless
 of how the stack is chunked or what else it holds, which keeps experiment
 outputs bit-stable under any number of workers.
 """
@@ -39,8 +41,8 @@ STEP_GROWTH = 1.5
 STEP_GROWTH_EVERY = 20
 STEP_GROWTH_CAP = 4096.0
 STALL_LIMIT = 500
-# Rows of one chunk of a chunked descent, and the bytes one (rows, n, n)
-# float temporary of its descent may take.
+# Rows of one chunk of a chunked descent, and the bytes one (rows, n, d)
+# float temporary of its descent may take, d the width of Omega's row lists.
 CHUNK_ROWS = 4096
 CHUNK_BUDGET_BYTES = 64 * 2**20
 # The fewest rows a chunk is cut to for the sake of parallelism. A descent of
@@ -269,8 +271,9 @@ def _stack(insts, X0):
             )
         first = insts[0]
         for inst in insts[1:]:
-            if (inst.n, inst.r) != (first.n, first.r) or not np.array_equal(
-                inst.omega.mask(), first.omega.mask()
+            if (inst.n, inst.r) != (first.n, first.r) or not (
+                np.array_equal(inst.omega.cols, first.omega.cols)
+                and np.array_equal(inst.omega.valid, first.omega.valid)
             ):
                 raise DimensionMismatch("stacked instances must share n, r and Omega")
     X0 = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -285,20 +288,21 @@ def gradient_descent_batch(insts, loss: LossSpec, X0, cfg: GdConfig) -> BatchRes
 
     Each start takes its target, auto step, ``grad_tol`` and divergence bound
     from its own instance (``cfg.resolved``); the targets are kept as one
-    (G, n, n) stack that the kernel gathers from by instance index."""
+    (G, n, d) stack, in Omega's row-list layout, that the kernel gathers
+    from by instance index."""
     insts, X0, group = _stack(insts, X0)
     cfgs = [cfg.resolved(inst) for inst in insts]
     if cfg.step is not None:
         steps0 = np.full(len(X0), cfg.step)
     else:
         steps0 = _auto_steps(np.array([inst.omega_scale() for inst in insts])[group], X0)
-    mask = insts[0].omega.mask()
-    targets = np.stack([inst.m_star_omega() for inst in insts])
+    omega = insts[0].omega
+    targets = np.stack([inst.observed_targets() for inst in insts])
 
     def value_and_grad(X, idx):
         # One instance broadcasts its target; only a mixed stack gathers.
         target = targets[0] if len(targets) == 1 else targets[group[idx]]
-        return _value_and_gradient(mask, target, loss, X)
+        return _value_and_gradient(omega, target, loss, X)
 
     return descend_batch(
         value_and_grad, X0, steps0, cfg.max_iters,
@@ -321,15 +325,16 @@ def gradient_descent(
     )
 
 
-def _chunk_bounds(B: int, n: int, threads: int) -> np.ndarray:
-    """Boundaries of the chunks of a B-row stack of (n, r) starts: k + 1
-    increasing indices from 0 to B that cut it into k near-equal chunks.
+def _chunk_bounds(B: int, n: int, d: int, threads: int) -> np.ndarray:
+    """Boundaries of the chunks of a B-row stack of (n, r) starts over an
+    Omega with (n, d) row lists: k + 1 increasing indices from 0 to B that
+    cut it into k near-equal chunks.
 
-    A chunk has at most ``CHUNK_ROWS`` rows, and fewer when a (rows, n, n)
+    A chunk has at most ``CHUNK_ROWS`` rows, and fewer when a (rows, n, d)
     temporary of the descent would exceed ``CHUNK_BUDGET_BYTES``. A stack
     large enough is cut into at least ``threads`` chunks of at least
     ``MIN_CHUNK_ROWS`` rows each, so that every worker gets one."""
-    rows = min(CHUNK_ROWS, max(1, CHUNK_BUDGET_BYTES // (8 * n * n)))
+    rows = min(CHUNK_ROWS, max(1, CHUNK_BUDGET_BYTES // (8 * n * max(d, 1))))
     k = max(-(-B // rows), min(threads, B // MIN_CHUNK_ROWS))
     return np.arange(k + 1) * B // k
 
@@ -357,7 +362,7 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1):
     go to a pool of ``min(threads, chunks)`` processes started with ``fork``
     (Linux and macOS), and an error raised in a worker is raised here."""
     insts, X0, group = _stack(insts, X0)
-    bounds = _chunk_bounds(len(X0), X0.shape[1], threads)
+    bounds = _chunk_bounds(len(X0), X0.shape[1], insts[0].omega.cols.shape[1], threads)
 
     def chunk(lo, hi):
         first, last = group[lo], group[hi - 1]

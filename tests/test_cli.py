@@ -113,6 +113,15 @@ def test_nonpositive_divergence_bound_exit_code(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lam", [float("nan"), -1.0])
+def test_invalid_reg_lambda_exit_code(tmp_path, capsys, lam):
+    # Such a lambda used to run the plain l2 loss without a word.
+    cfg = _write(tmp_path, "reg.json", _base_cfg(reg_lambda=lam, reg_alpha=0.5))
+    assert main(["descend", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "lambda" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

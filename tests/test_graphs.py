@@ -74,6 +74,22 @@ def test_measurement_set_symmetry_and_mask():
     assert len(omega) == int(omega.mask().sum())
 
 
+def test_measurement_set_row_lists():
+    # Path with self-loops: row i observes i - 1, i and i + 1.
+    omega = bmland.induce_measurement_set(bmland.build_named_pattern("example1_path", n=8), 8, 1)
+    assert not omega.dense
+    assert omega.cols.tolist()[:2] == [[0, 1, 8], [0, 1, 2]]  # 8 pads row 0
+    assert omega.valid.tolist()[:2] == [[1, 1, 0], [1, 1, 1]]
+    mask = np.zeros((8, 8))
+    for i, (cols, valid) in enumerate(zip(omega.cols, omega.valid)):
+        mask[i, cols[valid > 0]] = 1
+    assert np.array_equal(mask, omega.mask()) and len(omega) == int(omega.valid.sum())
+    # Largest degree 3 > 4 / 2: the identity layout, with the mask as valid.
+    small = bmland.induce_measurement_set(bmland.build_named_pattern("example1_path", n=4), 4, 1)
+    assert small.dense and small.cols.tolist() == [list(range(4))] * 4
+    assert np.array_equal(small.valid, small.mask())
+
+
 def test_trailing_rows_fully_observed():
     g = bmland.build_named_pattern("example1_path", n=3)
     omega = bmland.induce_measurement_set(g, 5, 1)

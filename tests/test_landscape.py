@@ -96,6 +96,107 @@ def test_value_and_gradient_kernel(inst, loss):
     assert np.all(np.abs(fd - an) <= 1e-6 * np.maximum(np.abs(an), 1.0))
 
 
+def _on_mask(mask, r, seed=0, gamma=0.3):
+    """Instance with a generic factor observed on an arbitrary symmetric mask."""
+    n = len(mask)
+    x = np.random.default_rng(seed).standard_normal((n, r))
+    return bmland.assemble_instance(x * gamma, bmland.MeasurementSet(n, r, mask))
+
+
+def _pattern(name, r):
+    """(instance, whether its row lists are the identity layout)."""
+    if name == "path-sparse":
+        g = bmland.build_named_pattern("example1_path", n=8)
+        dense = False
+    elif name == "path-dense":
+        g = bmland.build_named_pattern("example1_path", n=3)
+        dense = True
+    elif name == "er-sparse":
+        g = bmland.build_erdos_renyi(20, 0.3, range(1, 20, 2), seed=101)  # largest degree 8
+        dense = False
+    else:  # er-dense
+        g = bmland.build_erdos_renyi(5, 0.9, [1, 3], seed=4)
+        dense = True
+    n = g.m * r
+    x = bmland.random_block_factor(g.m, r, seed=7)
+    return bmland.assemble_instance(x, bmland.induce_measurement_set(g, n, r), g), dense
+
+
+def _dense_reference(inst, loss, X):
+    """f and its gradient written out on the dense mask: (X X^T - M*) o W,
+    sum(R^2) and 4 R X, plus the regularizer."""
+    W = inst.omega.mask()
+    R = (X @ X.swapaxes(-1, -2) - inst.m_star()) * W
+    val = np.sum(R * R, axis=(-2, -1))
+    G = 4.0 * R @ X
+    if loss.regularized:
+        t = np.linalg.norm(X, axis=-1)
+        excess = np.maximum(t - loss.alpha, 0.0)
+        val = val + loss.lam * np.sum(excess**4, axis=-1)
+        G = G + (4.0 * loss.lam * excess**3 / t)[..., None] * X
+    return val, G
+
+
+def _assert_close(val, G, ref_val, ref_G):
+    assert np.all(np.abs(val - ref_val) <= 1e-12 * np.abs(ref_val))
+    assert np.all(np.abs(G - ref_G) <= 1e-12 * np.abs(ref_G).max())
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("name", ["path-sparse", "path-dense", "er-sparse", "er-dense"])
+@pytest.mark.parametrize("loss", [L2, LossSpec.l2_regularized(0.7, 0.8)], ids=["l2", "reg"])
+def test_kernel_matches_dense_reference(name, r, loss):
+    inst, dense = _pattern(name, r)
+    d = int(inst.omega.mask().sum(axis=1).max())
+    assert inst.omega.dense == dense == (2 * d > inst.n)
+    assert inst.omega.cols.shape == (inst.n, inst.n if dense else d)
+    X = np.random.default_rng(r).standard_normal((5, inst.n, inst.r))
+    _assert_close(*bmland.value_and_gradient(inst, loss, X), *_dense_reference(inst, loss, X))
+    # The targets are the kernel's own products: the truth is an exact zero.
+    val, G = bmland.value_and_gradient(inst, L2, inst.x_star)
+    assert val == 0.0 and not G.any()
+
+
+def test_kernel_row_without_entries_and_empty_omega():
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[0, 0] = mask[1, 1] = mask[1, 2] = mask[2, 1] = mask[3, 3] = True  # rows 4..8 observe nothing
+    for r in (1, 2):
+        inst = _on_mask(mask, r)
+        assert not inst.omega.dense and inst.omega.cols.shape == (9, 2)
+        X = np.random.default_rng(r).standard_normal((4, 9, r))
+        val, G = bmland.value_and_gradient(inst, L2, X)
+        _assert_close(val, G, *_dense_reference(inst, L2, X))
+        assert not G[:, 4:].any()
+        empty = _on_mask(np.zeros((9, 9), dtype=bool), r)
+        assert empty.omega.cols.shape == (9, 0) and len(empty.omega) == 0
+        for Xs in (X, X[0]):
+            val, G = bmland.value_and_gradient(empty, L2, Xs)
+            assert np.all(val == 0.0) and G.shape == Xs.shape and not G.any()
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("name", ["path-sparse", "er-sparse", "er-dense"])
+def test_kernel_point_bits_independent_of_stack(name, r):
+    from bmland.landscape import _value_and_gradient
+
+    inst, _ = _pattern(name, r)
+    other = bmland.assemble_instance(2.0 * inst.x_star, inst.omega, inst.graph)
+    X = np.random.default_rng(3).standard_normal((37, inst.n, inst.r))
+    stacked = bmland.value_and_gradient(inst, L2, X)
+    # Alternate the two instances' targets along the stack.
+    targets = np.stack([inst.observed_targets(), other.observed_targets()])
+    group = np.arange(37) % 2
+    mixed = _value_and_gradient(inst.omega, targets[group], L2, X)
+    for b in range(0, 37, 2):
+        val, G = bmland.value_and_gradient(inst, L2, X[b])
+        for v, g in (stacked, mixed):
+            assert v[b] == val and np.array_equal(g[b], G)
+    val, G = bmland.value_and_gradient(other, L2, X[1])
+    assert mixed[0][1] == val and np.array_equal(mixed[1][1], G)
+    refs = [_dense_reference((inst, other)[g], L2, X[b]) for b, g in enumerate(group)]
+    _assert_close(*mixed, np.array([v for v, _ in refs]), np.stack([G for _, G in refs]))
+
+
 def test_hessian_quadratic_known_values():
     inst = helpers.path_instance(4)
     x_min = inst.x_star  # (1,0,1,0)

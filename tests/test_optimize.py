@@ -160,6 +160,36 @@ def test_stacked_instances_match_each_block_alone(monkeypatch):
             ]
 
 
+@pytest.mark.parametrize("r", [1, 2])
+def test_row_list_descent_independent_of_stack(monkeypatch, r):
+    # Omega of a path with n = 8 blocks has row lists of width 3r <= 8r / 2,
+    # so the descent runs on the row-list kernel, not the identity layout.
+    g = bmland.build_named_pattern("example1_path", n=8)
+    omega = bmland.induce_measurement_set(g, 8 * r, r)
+    a = bmland.assemble_instance(bmland.random_block_factor(8, r, seed=1), omega, g)
+    b = bmland.assemble_instance(bmland.random_block_factor(8, r, seed=2), omega, g)
+    assert not omega.dense
+    blocks = [bmland.sample_radial_init("gaussian", 8 * r, r, seed=s, size=37) for s in (3, 4)]
+    # A loose grad_tol retires some starts early, so the working set shrinks.
+    cfg = GdConfig(max_iters=400, grad_tol=0.1)
+    stacked = [bmland.gradient_descent_batch([a, b], L2, blocks, cfg)]
+    monkeypatch.setattr(optimize, "CHUNK_ROWS", 5)  # chunks of 4 and 5 rows, some spanning both blocks
+    for threads in (1, 2):
+        stacked.append(run_batch_chunked([a, b], L2, blocks, cfg, threads=threads))
+    # Each start alone, and each block alone, gives the same bits.
+    alone = [bmland.gradient_descent_batch(a, L2, blocks[0][k : k + 1], cfg) for k in (0, 17, 36)]
+    block = bmland.gradient_descent_batch(a, L2, blocks[0], cfg)
+    other = bmland.gradient_descent_batch(b, L2, blocks[1], cfg)
+    for res in stacked:
+        for f in dataclasses.fields(block):
+            got = getattr(res, f.name)
+            assert np.array_equal(got[:37], getattr(block, f.name)), f.name
+            assert np.array_equal(got[37:], getattr(other, f.name)), f.name
+            for k, one in zip((0, 17, 36), alone):
+                assert np.array_equal(got[k], getattr(one, f.name)[0]), f.name
+    assert block.iters.min() < block.iters.max()
+
+
 def test_stack_rejects_mismatched_instances():
     a = helpers.path_instance(4)
     b = helpers.path_instance(5)
@@ -171,11 +201,11 @@ def test_stack_rejects_mismatched_instances():
 
 
 def test_chunk_plan_covers_stack_in_near_equal_chunks():
-    rows = optimize.CHUNK_ROWS  # the byte budget allows more at these n
+    rows = optimize.CHUNK_ROWS  # the byte budget allows more at these n and d
     for B in (1, 30, 127, 255, 256, 300, 500, 3000, 40_000, 50_000):
-        for n in (6, 8, 20):
+        for n, d in ((6, 3), (8, 8), (20, 8)):
             for threads in (1, 2, 4):
-                sizes = np.diff(optimize._chunk_bounds(B, n, threads))
+                sizes = np.diff(optimize._chunk_bounds(B, n, d, threads))
                 assert sizes.sum() == B and sizes.min() >= 1
                 assert sizes.max() - sizes.min() <= 1 and sizes.max() <= rows
                 needed = -(-B // rows)
@@ -189,31 +219,38 @@ def test_chunk_plan_covers_stack_in_near_equal_chunks():
 
 
 def test_chunk_plan_of_product_sizes():
-    def sizes(B, n, threads):
-        return list(np.diff(optimize._chunk_bounds(B, n, threads)))
+    def sizes(B, n, d, threads):
+        return list(np.diff(optimize._chunk_bounds(B, n, d, threads)))
 
-    # The sweep and the rank-2 census get a chunk per worker, the metric's
-    # 30-start census stays whole, and a stack over the row cap is cut by it.
-    assert sizes(300, 20, 2) == [150, 150]
-    assert sizes(500, 8, 2) == [250, 250] and sizes(500, 8, 1) == [500]
-    assert sizes(30, 6, 2) == [30]
-    assert sizes(40_000, 6, 2) == [4000] * 10 == sizes(40_000, 6, 1)
-    assert sizes(3000, 20, 4) == [750] * 4
-    assert sizes(300, 20, 4) == [150, 150]
-    assert len(sizes(50_000, 8, 4)) == 13
+    # The sweep (Erdos-Renyi, d = 8 of n = 20) and the rank-2 census (identity
+    # layout) get a chunk per worker, the metric's 30-start census (path,
+    # d = 3) stays whole, and a stack over the row cap is cut by it.
+    assert sizes(300, 20, 8, 2) == [150, 150]
+    assert sizes(500, 8, 8, 2) == [250, 250] and sizes(500, 8, 8, 1) == [500]
+    assert sizes(30, 6, 3, 2) == [30]
+    assert sizes(40_000, 6, 3, 2) == [4000] * 10 == sizes(40_000, 6, 3, 1)
+    assert sizes(3000, 20, 8, 4) == [750] * 4
+    assert sizes(300, 20, 8, 4) == [150, 150]
+    assert len(sizes(50_000, 8, 8, 4)) == 13
+    # A rank-1 path at n = 800 has rows of 3 entries: the byte budget allows
+    # 3495 rows a chunk, against 13 on the (n, n) identity layout.
+    assert sizes(3495, 800, 3, 1) == [3495] and sizes(3496, 800, 3, 1) == [1748, 1748]
+    assert sizes(13, 800, 800, 1) == [13] and sizes(14, 800, 800, 1) == [7, 7]
 
 
 def test_chunk_rows_capped_by_memory_budget(monkeypatch):
-    inst = helpers.path_instance(4)
-    X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=10)
-    monkeypatch.setattr(optimize, "CHUNK_BUDGET_BYTES", 3 * 8 * 4 * 4)  # three (4, 4) arrays
-    for threads in (1, 2):
-        assert list(np.diff(optimize._chunk_bounds(10, 4, threads))) == [2, 3, 2, 3]
-    one = run_batch_chunked(inst, L2, X0, GdConfig(), threads=1)
-    two = run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
-    for other in (two, optimize.gradient_descent_batch(inst, L2, X0, GdConfig())):
-        for field in dataclasses.fields(one):
-            assert np.array_equal(getattr(one, field.name), getattr(other, field.name))
+    for n, d in ((4, 4), (8, 3)):  # the identity layout and row lists
+        inst = helpers.path_instance(n)
+        assert inst.omega.cols.shape == (n, d)
+        X0 = bmland.sample_radial_init("gaussian", n, 1, seed=2, size=10)
+        monkeypatch.setattr(optimize, "CHUNK_BUDGET_BYTES", 3 * 8 * n * d)  # three (n, d) arrays
+        for threads in (1, 2):
+            assert list(np.diff(optimize._chunk_bounds(10, n, d, threads))) == [2, 3, 2, 3]
+        one = run_batch_chunked(inst, L2, X0, GdConfig(), threads=1)
+        two = run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
+        for other in (two, optimize.gradient_descent_batch(inst, L2, X0, GdConfig())):
+            for field in dataclasses.fields(one):
+                assert np.array_equal(getattr(one, field.name), getattr(other, field.name))
 
 
 def test_worker_error_reaches_caller_with_its_type(monkeypatch):
