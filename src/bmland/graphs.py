@@ -153,6 +153,20 @@ class MeasurementSet:
         """Whether the row lists are the identity layout, d = n."""
         return self.cols.shape[1] == self.n
 
+    def dense_products(self, X: np.ndarray) -> np.ndarray:
+        """The products (X X^T) * mask of a (..., n, r) stack, (..., n, n):
+        an elementwise outer product at r = 1, otherwise a batched matmul
+        whose right operand is a contiguous copy of X^T. A transposed view
+        there is several times slower, and at some n its rounding differs
+        from the contiguous form's; the contiguous product has the same bits
+        for a point alone as in a stack."""
+        if X.shape[-1] == 1:
+            P = X * X.swapaxes(-1, -2)
+        else:
+            P = X @ np.ascontiguousarray(X.swapaxes(-1, -2))
+        P *= self._mask
+        return P
+
     def row_products(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The products X_i . X_cols[i, k] of a (b, n, r) stack on the
         padded row lists, batch-last: the gathered rows Xg, (n, d, r, b),

@@ -54,16 +54,17 @@ class McInstance:
 
     def observed_targets(self) -> np.ndarray:
         """Observed entries of M* in Omega's (n, d) row-list layout, cached
-        (write-once). The identity layout's are ``m_star_omega()`` itself;
-        otherwise they are the objective kernel's own products of the ground
-        truth, so that its residual there is exactly zero."""
+        (write-once). On either layout they are the objective kernel's own
+        products of the ground truth, so that its residual there is exactly
+        zero; on the identity layout they can differ from ``m_star_omega()``
+        by rounding."""
         if self._targets is None:
             if self.omega.dense:
-                self._targets = self.m_star_omega()
+                t = self.omega.dense_products(self.x_star)
             else:
                 t = self.omega.row_products(self.x_star[None])[1][..., 0]
-                t.setflags(write=False)
-                self._targets = t
+            t.setflags(write=False)
+            self._targets = t
         return self._targets
 
     def omega_scale(self) -> float:

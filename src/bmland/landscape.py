@@ -10,11 +10,15 @@ and ``gradient`` are its two halves. It reads Omega as padded row neighbor
 lists (``MeasurementSet.cols``, (n, d) with d the largest row degree), so a
 point costs O(n d r), not O(n^2 r). When 2d > n the lists are the identity
 layout and the kernel forms the dense (n, n) residual instead: X X^T (an
-elementwise product at r = 1, batched matmul otherwise), with an einsum
-value. On the row lists it gathers the observed rows, works batch-last, and
-takes the value as a pairwise sum. It broadcasts over leading batch axes, so
-a stack of factors of shape (B, n, r) is processed in one call, and so do the
-orbit maps ``restriction_map`` and ``canonicalize``. Its arithmetic lives in
+elementwise product at r = 1, otherwise a batched matmul with a contiguous
+copy of X^T as its right operand, ``MeasurementSet.dense_products``), with an
+einsum value. On the row lists it gathers the observed rows, works
+batch-last, and takes the value as a pairwise sum. On either layout the
+observed targets are the kernel's own products of the ground truth
+(``McInstance.observed_targets``), so the residual at the truth is an exact
+zero. It broadcasts over leading batch axes, so a stack of factors of shape
+(B, n, r) is processed in one call, and so do the orbit maps
+``restriction_map`` and ``canonicalize``. Its arithmetic lives in
 ``_value_and_gradient``, which also takes a stack of per-point targets, so
 one descent can carry the starts of several instances over one Omega. Each
 point's result has the same bits whatever stack it is part of.
@@ -69,20 +73,19 @@ def _check_shape(inst: McInstance, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _residual(mask: np.ndarray, target: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _residual(omega: MeasurementSet, target: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Dense (..., n, n) residual (X X^T) * mask - target."""
-    # At r = 1 the outer product is elementwise: the same bits as the
-    # matmul, without one BLAS call per point.
-    R = X * X.swapaxes(-1, -2) if X.shape[-1] == 1 else X @ X.swapaxes(-1, -2)
-    R *= mask
+    R = omega.dense_products(X)
     R -= target
     return R
 
 
 def masked_residual(inst: McInstance, X: np.ndarray) -> np.ndarray:
-    """(X X^T - M*)_Omega, batched, as a dense (..., n, n) array."""
+    """(X X^T - M*)_Omega, batched, as a dense (..., n, n) array. M* is
+    formed by the same product as X X^T, so the residual at the truth is an
+    exact zero, as in the kernel."""
     X = _check_shape(inst, X)
-    return _residual(inst.omega.mask(), inst.m_star_omega(), X)
+    return _residual(inst.omega, inst.omega.dense_products(inst.x_star), X)
 
 
 def value_and_gradient(inst: McInstance, loss: LossSpec, X: np.ndarray):
@@ -99,7 +102,7 @@ def _value_and_gradient(omega: MeasurementSet, target: np.ndarray, loss: LossSpe
     Omega. A point's bits do not depend on which of the two forms carries its
     target, nor on the rest of the stack."""
     if omega.dense:
-        R = _residual(omega.valid, target, X)
+        R = _residual(omega, target, X)
         val = np.einsum("...ij,...ij->...", R, R)
         G = R @ X
     else:

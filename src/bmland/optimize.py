@@ -5,14 +5,16 @@ Newton refinement, and critical-point classification.
 iterates of any batched value-and-gradient function, and both the factorized
 objective (``gradient_descent_batch``, through ``value_and_gradient``'s
 arithmetic) and the metric's pair penalty run through it. Each step makes one
-fused call on the samples still running. One stack may hold the starts of
-several instances over one Omega, each start with its own target and
-tolerances. ``run_batch_chunked`` splits a large stack into chunks and runs
-them in forked worker processes; a chunk's rows are capped so that one
-(rows, n, d) temporary of the kernel, d the width of Omega's row lists,
-stays within a fixed byte budget. Per-sample arithmetic is identical regardless
-of how the stack is chunked or what else it holds, which keeps experiment
-outputs bit-stable under any number of workers.
+fused call on the samples still running; the loop keeps its per-sample
+counters as iteration stamps, so that a step writes only the counters it
+resets, and a rejected step copies back only the rejected rows. One stack may
+hold the starts of several instances over one Omega, each start with its own
+target and tolerances. ``run_batch_chunked`` splits a large stack into chunks
+and runs them in forked worker processes; a chunk's rows are capped so that
+one (rows, n, d) temporary of the kernel, d the width of Omega's row lists,
+stays within a fixed byte budget. Per-sample arithmetic is identical
+regardless of how the stack is chunked or what else it holds, which keeps
+experiment outputs bit-stable under any number of workers.
 """
 
 from __future__ import annotations
@@ -165,19 +167,23 @@ def descend_batch(
     per-sample initial steps, and per-sample ``grad_tol`` and
     ``divergence_bound`` (each a scalar or a (B,) array).
     ``value_and_grad(X, idx)`` returns the (b,) values and (b, n, k) gradients
-    of a (b, n, k) working set whose input indices are ``idx``.
+    of a (b, n, k) working set whose input indices are ``idx``, as new arrays:
+    the loop adopts them as its state and writes into them.
 
     The value is kept monotone per sample: a step that would increase it is
-    rejected and the sample's step size halved; steadily accepted samples get
-    a bounded step-size growth so late linear convergence is not throttled by
-    a conservative initial bound. Each step makes one ``value_and_grad`` call,
-    on the samples still running: the working set is compacted whenever
-    samples retire, and a retiring sample's result is written out then. A
-    sample's result does not depend on the rest of the stack.
+    rejected and the sample's step size halved; a sample's step grows by
+    ``STEP_GROWTH`` after ``STEP_GROWTH_EVERY`` accepted steps, up to
+    ``STEP_GROWTH_CAP`` times its initial step, so late linear convergence is
+    not throttled by a conservative initial bound. Each step makes one
+    ``value_and_grad`` call, on the samples still running: the working set is
+    compacted whenever samples retire, and a retiring sample's result is
+    written out then. A sample's result does not depend on the rest of the
+    stack.
 
-    A sample ends ``Converged`` at its ``grad_tol``, ``Diverged`` past its
-    bound, ``Stalled`` once its value has not decreased for ``STALL_LIMIT``
-    steps, and ``MaxIters`` when it runs out of iterations.
+    A sample ends ``Converged`` at its ``grad_tol``, ``Diverged`` once an
+    accepted step takes it past its bound, ``Stalled`` once its value has not
+    decreased for ``STALL_LIMIT`` steps, and ``MaxIters`` when it runs out of
+    iterations; ``iters`` is the number of steps it took.
     """
     B = X0.shape[0]
     points = np.empty_like(X0)
@@ -186,69 +192,77 @@ def descend_batch(
     iters = np.full(B, max_iters, dtype=int)
     status = np.empty(B, dtype=object)
     status[:] = Status.MAX_ITERS
+    cap = STEP_GROWTH_CAP * steps0
 
-    # The working set: input indices of the samples still running, and their state.
+    # The working set: input indices of the samples still running, and their
+    # state. Its counters are stamps, the iteration that last reset each one,
+    # so that a step writes only to the samples whose counter resets: after
+    # the step of iteration it, it - grown_at steps have been accepted since
+    # the step size last changed, and it - improved_at steps have passed
+    # since the value last decreased.
     idx = np.arange(B)
     X = X0.copy()
     f, G = value_and_grad(X, idx)
     steps = steps0.copy()
     tol = np.full(B, grad_tol, dtype=float)
     bound = np.full(B, divergence_bound, dtype=float)
-    since_growth = np.zeros(B, dtype=int)
-    no_progress = np.zeros(B, dtype=int)
+    grown_at = np.full(B, -1)
+    improved_at = np.full(B, -1)
 
-    def retire(out, it):
-        """Write out the samples flagged in ``out`` and drop them from the working set."""
-        nonlocal idx, X, f, G, gn, steps, tol, bound, since_growth, no_progress
+    def retire(out, taken):
+        """Write out the samples flagged in ``out``, after ``taken`` steps, and
+        drop them from the working set."""
+        nonlocal idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at
         d = idx[out]
-        points[d], values[d], grad_norms[d], iters[d] = X[out], f[out], gn[out], it
+        points[d], values[d], grad_norms[d], iters[d] = X[out], f[out], gn[out], taken
         keep = ~out
-        idx, X, f, G, gn, steps, tol, bound, since_growth, no_progress = (
-            a[keep] for a in (idx, X, f, G, gn, steps, tol, bound, since_growth, no_progress)
+        idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at = (
+            a[keep] for a in (idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at)
         )
 
     for it in range(max_iters):
         gn = np.sqrt(_sq_norms(G))
         done = gn <= tol
-        if done.any():
+        if np.count_nonzero(done):
             status[idx[done]] = Status.CONVERGED
             retire(done, it)
         if idx.size == 0:
             break
 
-        Xnew = X - steps[:, None, None] * G
+        Xnew = steps[:, None, None] * G
+        np.subtract(X, Xnew, out=Xnew)
         fnew, Gnew = value_and_grad(Xnew, idx)
         increased = fnew > f
-        improved = fnew < f
-        ok = ~increased
-        if ok.all():
-            X, f, G = Xnew, fnew, Gnew
-        else:
-            X[ok], f[ok], G[ok] = Xnew[ok], fnew[ok], Gnew[ok]
-        since_growth[ok] += 1
-        steps[increased] *= 0.5
-        since_growth[increased] = 0
+        rejected = np.count_nonzero(increased)
+        if rejected:
+            # A rejected sample keeps its state: only its rows are copied.
+            for new, old in ((Xnew, X), (fnew, f), (Gnew, G)):
+                new[increased] = old[increased]
+            np.multiply(steps, 0.5, out=steps, where=increased)
+            np.copyto(grown_at, it, where=increased)
         # Once the value stops strictly decreasing for a long stretch, the
         # iterate sits at the resolution floor of double precision; further
         # iterations cannot reach grad_tol, so the sample is cut off early.
-        no_progress += 1
-        no_progress[improved] = 0
-        stalled = no_progress >= STALL_LIMIT
+        np.copyto(improved_at, it, where=fnew < f)
+        X, f, G = Xnew, fnew, Gnew
+        stalled = improved_at <= it - STALL_LIMIT
 
-        grow = ok & (since_growth >= STEP_GROWTH_EVERY)
-        if grow.any():
-            cap = STEP_GROWTH_CAP * steps0[idx[grow]]
-            steps[grow] = np.minimum(steps[grow] * STEP_GROWTH, cap)
-            since_growth[grow] = 0
+        # A sample whose step was rejected has just reset grown_at.
+        grow = grown_at <= it - STEP_GROWTH_EVERY
+        if np.count_nonzero(grow):
+            steps[grow] = np.minimum(steps[grow] * STEP_GROWTH, cap[idx[grow]])
+            grown_at[grow] = it
 
-        diverged = ok & (np.sqrt(_sq_norms(X)) > bound)
+        diverged = np.sqrt(_sq_norms(X)) > bound
+        if rejected:
+            diverged &= ~increased
         out = stalled | diverged
-        if out.any():
+        if np.count_nonzero(out):
             # A stalled or diverged sample keeps the gradient norm measured
             # before its last step; one that is both counts as diverged.
             status[idx[stalled]] = Status.STALLED
             status[idx[diverged]] = Status.DIVERGED
-            retire(out, it)
+            retire(out, it + 1)
 
     points[idx] = X
     values[idx] = f

@@ -197,6 +197,29 @@ def test_kernel_point_bits_independent_of_stack(name, r):
     _assert_close(*mixed, np.array([v for v, _ in refs]), np.stack([G for _, G in refs]))
 
 
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("n", [8, 12, 20])
+def test_dense_product_bits_at_awkward_sizes(n, r):
+    # At n = 12 and 20 a matmul with a transposed-view operand rounds
+    # differently from the kernel's contiguous one.
+    from bmland.landscape import _residual
+
+    rng = np.random.default_rng(n * r)
+    upper = np.triu(rng.random((n, n)) < 0.7)
+    inst = _on_mask(upper | upper.T, r, seed=n)
+    assert inst.omega.dense
+    val, G = bmland.value_and_gradient(inst, L2, inst.x_star)
+    assert val == 0.0 and not G.any()
+    assert not bmland.masked_residual(inst, inst.x_star).any()
+    X = rng.standard_normal((39, n, r))
+    vals, Gs = bmland.value_and_gradient(inst, L2, X)
+    for b in range(39):
+        v, g = bmland.value_and_gradient(inst, L2, X[b])
+        assert v == vals[b] and np.array_equal(g, Gs[b])
+    R = _residual(inst.omega, inst.observed_targets(), X)
+    assert np.array_equal(R, np.stack([_residual(inst.omega, inst.observed_targets(), x) for x in X]))
+
+
 def test_hessian_quadratic_known_values():
     inst = helpers.path_instance(4)
     x_min = inst.x_star  # (1,0,1,0)

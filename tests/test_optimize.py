@@ -190,6 +190,94 @@ def test_row_list_descent_independent_of_stack(monkeypatch, r):
     assert block.iters.min() < block.iters.max()
 
 
+def _bowl(X, idx=None):
+    """1000 + 2u^2 + v^4 - v^6/6 of a (b, 2, 1) stack of points (u, v), and its
+    gradient: u contracts to 0, v is quartic-flat at 0 and falls without bound
+    past |v| = 2, and the constant puts the value's rounding floor at 1e-13."""
+    u, v = X[:, 0, 0], X[:, 1, 0]
+    f = 1000.0 + 2.0 * u * u + v**4 - v**6 / 6.0
+    return f, np.stack([4.0 * u, 4.0 * v**3 - v**5], axis=-1)[..., None]
+
+
+def _reference_descent(value_and_grad, x0, step0, max_iters, grad_tol, bound):
+    """One start's descent by the rules ``descend_batch`` documents, one point
+    at a time: (point, value, gradient norm, iterations, status, halvings,
+    whether the step reached its cap)."""
+    def norm(a):
+        return np.sqrt(optimize._sq_norms(a[None]))[0]
+
+    x = x0
+    f, g = (a[0] for a in value_and_grad(x[None], None))
+    step, accepted, flat, halvings, capped = step0, 0, 0, 0, False
+    for it in range(max_iters):
+        gn = norm(g)
+        if gn <= grad_tol:
+            return x, f, gn, it, Status.CONVERGED, halvings, capped
+        xnew = x - step * g
+        fnew, gnew = (a[0] for a in value_and_grad(xnew[None], None))
+        flat = 0 if fnew < f else flat + 1
+        if fnew > f:
+            step, accepted, halvings = step * 0.5, 0, halvings + 1
+        else:
+            x, f, g, accepted = xnew, fnew, gnew, accepted + 1
+            if accepted == optimize.STEP_GROWTH_EVERY:
+                cap = optimize.STEP_GROWTH_CAP * step0
+                step, accepted = min(step * optimize.STEP_GROWTH, cap), 0
+                capped |= step == cap
+            if norm(x) > bound:
+                return x, f, gn, it + 1, Status.DIVERGED, halvings, capped
+        if flat >= optimize.STALL_LIMIT:
+            return x, f, gn, it + 1, Status.STALLED, halvings, capped
+    return x, f, norm(g), max_iters, Status.MAX_ITERS, halvings, capped
+
+
+def test_descend_batch_matches_reference_loop():
+    # From (1, 0) and (1, 1.9) u converges at grad_tol; from (0, 1e-4) the
+    # value sits at its rounding floor and stalls; (0.3, 0.5) and (-0.7, 0.2)
+    # still descend at max_iters; (0, 2.5) passes the bound. The step grows
+    # until it overshoots in u, so steps are rejected, and halved, at times.
+    # The last start begins past its bound, and its first two steps are
+    # rejected: it diverges on the third, the first it accepts.
+    X0 = np.array([[1, 0], [0, 1e-4], [0.3, 0.5], [0, 2.5], [1, 1.9], [-0.7, 0.2], [1, 0]])[..., None]
+    steps0 = np.array([0.05, 0.05, 0.05, 0.04, 0.05, 0.06, 2.0])
+    tol = np.array([1e-4, 0, 0, 0, 1e-3, 0, 0])
+    bound = np.array([10, 10, 10, 10, 10, 10, 0.5])
+    res = optimize.descend_batch(_bowl, X0, steps0, 600, tol, bound)
+    refs = [_reference_descent(_bowl, *args, 600, t, c) for *args, t, c in zip(X0, steps0, tol, bound)]
+    for b, (x, f, gn, iters, status, _, _) in enumerate(refs):
+        assert np.array_equal(res.points[b], x) and res.values[b] == f, b
+        assert res.grad_norms[b] == gn and res.iters[b] == iters and res.status[b] is status, b
+    assert set(res.status) == set(Status) and res.iters[-1] == 3
+    assert sum(r[5] for r in refs) > 0 and any(r[6] for r in refs)
+
+
+def test_descend_batch_stops_when_last_start_retires():
+    calls = []
+
+    def counted(fn):
+        def value_and_grad(X, idx):
+            calls.append(len(idx))
+            return fn(X, idx)
+        return value_and_grad
+
+    def uphill(X, idx):
+        return -optimize._sq_norms(X), -2.0 * X
+
+    # From 1 one step of -||X||^2 lands on 3, past the bound: one step taken.
+    X0 = np.ones((4, 1, 1))
+    res = optimize.descend_batch(counted(uphill), X0, np.ones(4), 10**6, 1e-9, 2.5)
+    assert list(res.status) == [Status.DIVERGED] * 4
+    assert np.array_equal(res.points, 3.0 * X0) and list(res.iters) == [1] * 4
+    assert calls == [4, 4]
+    calls.clear()
+    # At the bowl's rounding floor every start stalls after STALL_LIMIT steps.
+    X0 = np.array([[0, 1e-4], [0, -2e-4], [0, 5e-5]])[..., None]
+    res = optimize.descend_batch(counted(_bowl), X0, np.full(3, 0.05), 10**6, 0.0, 10.0)
+    assert list(res.status) == [Status.STALLED] * 3
+    assert list(res.iters) == [optimize.STALL_LIMIT] * 3
+    assert len(calls) == 1 + optimize.STALL_LIMIT
+
+
 def test_stack_rejects_mismatched_instances():
     a = helpers.path_instance(4)
     b = helpers.path_instance(5)
