@@ -18,7 +18,7 @@ from .errors import (
 )
 from .graphs import BlockSparsityGraph, analyze_graph, induce_measurement_set
 from .instances import McInstance, assemble_instance, build_canonical_ground_truth, perturb
-from .landscape import LossSpec, canonicalize
+from .landscape import LossSpec, canonicalize, objective
 from .optimize import (
     Classification,
     GdConfig,
@@ -87,6 +87,41 @@ def _cluster(points: np.ndarray, radius: float) -> list[np.ndarray]:
     return clusters
 
 
+def _endpoints(inst, loss, n_starts, seed, cfg=None, dist="gaussian", sigma=1.0, radius=1.0,
+               dedup_radius=1e-4, threads=1) -> tuple[np.ndarray, list[int], int]:
+    """The census's endpoint stage, without classification: (reps, hits,
+    n_converged), the canonical representatives (K, n, r) in (objective,
+    bytes) order with each one's hit count. Endpoints are canonicalized and
+    grouped coarsely; one point per coarse group is Newton-refined, and the
+    groups are re-merged at ``dedup_radius``. Non-converged starts are
+    excluded from hit counts."""
+    if n_starts < 1:
+        raise DimensionMismatch("n_starts must be >= 1")
+    if not dedup_radius > 0:
+        raise DimensionMismatch(f"dedup_radius must be positive, got {dedup_radius!r}")
+    cfg = cfg or GdConfig()
+    X0 = sample_radial_init(
+        dist, inst.n, inst.r, seed, sigma=sigma, radius=radius, size=n_starts
+    )
+    res = run_batch_chunked(inst, loss, X0, cfg, threads=threads)
+    converged = res.converged
+    canon = canonicalize(res.points[converged])
+    coarse = _cluster(canon, COARSE_RADIUS)
+    refined = canon[[group[0] for group in coarse]]
+    for k, rep in enumerate(refined):
+        try:
+            refined[k] = canonicalize(newton_refine(inst, loss, rep))
+        except (NotNearCritical, SingularHessian):
+            pass
+
+    groups = _cluster(refined, dedup_radius)
+    reps = refined[[group[0] for group in groups]]
+    values = objective(inst, loss, reps) if len(reps) else []
+    order = sorted(range(len(reps)), key=lambda k: (values[k], reps[k].tobytes()))
+    hits = [sum(len(coarse[g]) for g in groups[k]) for k in order]
+    return reps[order], hits, int(np.count_nonzero(converged))
+
+
 def multistart_census(
     inst: McInstance,
     loss: LossSpec,
@@ -99,52 +134,17 @@ def multistart_census(
     dedup_radius: float = 1e-4,
     threads: int = 1,
 ) -> CensusReport:
-    """Run n_starts seeded descents, polish and deduplicate the endpoints, and
-    classify one representative per cluster.
-
-    Endpoints are canonicalized, grouped coarsely, and only one point per
-    coarse group is Newton-refined; groups are then re-merged at
-    ``dedup_radius``. Non-converged starts are excluded from hit counts.
-    """
-    if n_starts < 1:
-        raise DimensionMismatch("n_starts must be >= 1")
-    if not dedup_radius > 0:
-        raise DimensionMismatch(f"dedup_radius must be positive, got {dedup_radius!r}")
-    cfg = cfg or GdConfig()
-    X0 = sample_radial_init(
-        dist, inst.n, inst.r, seed, sigma=sigma, radius=radius, size=n_starts
+    """Run n_starts seeded descents, then classify each representative that
+    the endpoint stage ``_endpoints`` returns, in its order."""
+    reps, hits, n_converged = _endpoints(
+        inst, loss, n_starts, seed, cfg, dist, sigma, radius, dedup_radius, threads
     )
-    res = run_batch_chunked(inst, loss, X0, cfg, threads=threads)
-    converged = res.converged
-    n_converged = int(np.count_nonzero(converged))
-
-    canon = canonicalize(res.points[converged])
-    coarse = _cluster(canon, COARSE_RADIUS)
-    refined = canon[[group[0] for group in coarse]]
-    polished = {}
-    for k, rep in enumerate(refined):
-        try:
-            polished[k] = newton_refine(inst, loss, rep)
-        except (NotNearCritical, SingularHessian):
-            pass
-    if polished:
-        refined[list(polished)] = canonicalize(np.stack(list(polished.values())))
-
-    records: list[CriticalPointRecord] = []
-    for group in _cluster(refined, dedup_radius):
-        rep = refined[group[0]]
-        verdict = classify_critical_point(inst, loss, rep)
+    records = []
+    for rep, hit_count in zip(reps, hits):
+        v = classify_critical_point(inst, loss, rep)
         records.append(
-            CriticalPointRecord(
-                canonical_rep=rep,
-                objective=verdict.objective,
-                grad_norm=verdict.grad_norm,
-                lambda_min=verdict.lambda_min,
-                classification=verdict.kind,
-                hit_count=sum(len(coarse[g]) for g in group),
-            )
+            CriticalPointRecord(rep, v.objective, v.grad_norm, v.lambda_min, v.kind, hit_count)
         )
-    records.sort(key=lambda rec: (rec.objective, rec.canonical_rep.tobytes()))
     return CensusReport(
         classes=records,
         n_starts=n_starts,

@@ -45,9 +45,9 @@ class McInstance:
         return self.x_star @ self.x_star.T
 
     def m_star_omega(self) -> np.ndarray:
-        """Observed entries of M*, cached (write-once)."""
+        """Observed entries of M*, the kernel's dense products, cached (write-once)."""
         if self._m_omega is None:
-            mo = self.m_star() * self.omega.mask()
+            mo = self.omega.dense_products(self.x_star)
             mo.setflags(write=False)
             self._m_omega = mo
         return self._m_omega
@@ -56,11 +56,10 @@ class McInstance:
         """Observed entries of M* in Omega's (n, d) row-list layout, cached
         (write-once). On either layout they are the objective kernel's own
         products of the ground truth, so that its residual there is exactly
-        zero; on the identity layout they can differ from ``m_star_omega()``
-        by rounding."""
+        zero; on the identity layout they are ``m_star_omega()``."""
         if self._targets is None:
             if self.omega.dense:
-                t = self.omega.dense_products(self.x_star)
+                t = self.m_star_omega()
             else:
                 t = self.omega.row_products(self.x_star[None])[1][..., 0]
             t.setflags(write=False)

@@ -81,11 +81,11 @@ def _residual(omega: MeasurementSet, target: np.ndarray, X: np.ndarray) -> np.nd
 
 
 def masked_residual(inst: McInstance, X: np.ndarray) -> np.ndarray:
-    """(X X^T - M*)_Omega, batched, as a dense (..., n, n) array. M* is
-    formed by the same product as X X^T, so the residual at the truth is an
-    exact zero, as in the kernel."""
+    """(X X^T - M*)_Omega, batched, as a dense (..., n, n) array. M*_Omega
+    (``McInstance.m_star_omega``) is formed by the same product as X X^T, so
+    the residual at the truth is an exact zero, as in the kernel."""
     X = _check_shape(inst, X)
-    return _residual(inst.omega, inst.omega.dense_products(inst.x_star), X)
+    return _residual(inst.omega, inst.m_star_omega(), X)
 
 
 def value_and_gradient(inst: McInstance, loss: LossSpec, X: np.ndarray):

@@ -3,9 +3,9 @@ set of measurements that admit more than one rank-r completion.
 
 The set is parametrized by pairs (X1, X2) whose Gram matrices agree on the
 observed entries but differ by at least ``separation`` in Frobenius norm. We
-minimize a penalty objective over such pairs, seeded from the classes of a
-``multistart_census`` (so X1 is the lower-objective class of each pair), and
-report the best feasible value found — an upper bound only; infeasibility
+minimize a penalty objective over pairs of the unclassified candidates of the
+census's endpoint stage (X1 the lower-objective one), and report the best
+feasible pair after the final polish — an upper bound only; infeasibility
 within budget is reported as "no pair found", never as a proof that none
 exists.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import multistart_census
+from .census import _endpoints
 from .errors import DimensionMismatch
 from .instances import McInstance
 from .landscape import LossSpec
@@ -29,9 +29,9 @@ RHO_GROWTH = 10.0
 
 @dataclass
 class MetricEstimate:
-    value: float | None  # None means no feasible pair found within budget
-    witness_pair: tuple | None
-    separation_achieved: float | None
+    value: float | None = None  # None means no feasible pair found within budget
+    witness_pair: tuple | None = None
+    separation_achieved: float | None = None
 
     @property
     def found(self) -> bool:
@@ -98,42 +98,41 @@ def estimate_complexity_metric(
     seed: int = 0,
     threads: int = 1,
 ) -> MetricEstimate:
-    """Best-so-far upper bound on the ambiguity distance of the observed
-    entries; monotone non-increasing in the restart budget at fixed seed."""
+    """Best polished pair, an upper bound on the ambiguity distance of the
+    observed entries; monotone non-increasing in the restart budget at fixed seed."""
     # Written so that NaN fails too.
     if separation is not None and not separation > 0:
         raise DimensionMismatch(f"separation must be positive, got {separation!r}")
     if separation is None:
         separation = 1e-3 * float(np.linalg.norm(inst.m_star()))
+    reps = _endpoints(inst, LossSpec.l2(), budget.restarts, seed, threads=threads)[0]
+    if len(reps) < 2:
+        return MetricEstimate()
+    return _best_pair(inst, reps, separation, budget.iters)
+
+
+def _best_pair(inst: McInstance, reps: np.ndarray, separation: float, iters: int) -> MetricEstimate:
+    """Descend every pair of candidates (the earlier one as X1) through the
+    penalty rounds, then report the feasible polished pair of least fit
+    residual: ties go to the earlier pair."""
     feas_tol = 1e-6 * (1.0 + inst.omega_scale())
     grad_tol = 1e-12 * (1.0 + inst.omega_scale()) ** 2
-
-    census = multistart_census(inst, LossSpec.l2(), budget.restarts, seed, threads=threads)
-    reps = [rec.canonical_rep for rec in census.classes]
-    best = MetricEstimate(value=None, witness_pair=None, separation_achieved=None)
-    if len(reps) < 2:
-        return best
     rounds = [(1.0, RHO_GROWTH**k, RHO_GROWTH**k) for k in range(1, RHO_ROUNDS + 1)]
     # Feasibility polish: drive the on-support mismatch to roundoff while the
     # fit term is left out entirely.
     rounds.append((0.0, 1.0, 1.0))
-    pairs = itertools.combinations(reps, 2)
-    snapshots = [np.stack([np.concatenate(pair, axis=1) for pair in pairs])]
+    Z = np.stack([np.concatenate(pair, axis=1) for pair in itertools.combinations(reps, 2)])
     for w0, rho, rho_sep in rounds:
-        pen = _PairPenalty(inst, w0, rho, rho_sep, separation)
-        snapshots.append(pen.descend(snapshots[-1], budget.iters, grad_tol))
+        Z = _PairPenalty(inst, w0, rho, rho_sep, separation).descend(Z, iters, grad_tol)
 
-    # Pair-major order, as if each pair had run all its rounds alone: the
-    # first of equal values is the earlier pair and round.
-    Z = np.stack(snapshots, axis=1).reshape(-1, inst.n, 2 * inst.r)
     X1, X2, r0, r2, _, d = _terms(inst, Z)
     feasible = (np.sqrt(_sq_norms(r2)) <= feas_tol) & (d >= separation)
     values = np.where(feasible, np.sqrt(_sq_norms(r0)), np.inf)
     k = int(np.argmin(values))
-    if feasible[k]:
-        best = MetricEstimate(
-            value=float(values[k]),
-            witness_pair=(X1[k].copy(), X2[k].copy()),
-            separation_achieved=float(d[k]),
-        )
-    return best
+    if not feasible[k]:
+        return MetricEstimate()
+    return MetricEstimate(
+        value=float(values[k]),
+        witness_pair=(X1[k].copy(), X2[k].copy()),
+        separation_achieved=float(d[k]),
+    )

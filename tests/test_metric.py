@@ -3,7 +3,8 @@ import pytest
 
 import bmland
 from bmland.errors import DimensionMismatch
-from bmland.metric import _PairPenalty, _terms
+from bmland.census import _endpoints
+from bmland.metric import _PairPenalty, _best_pair, _terms
 
 import helpers
 
@@ -100,3 +101,27 @@ def test_estimate_independent_of_discovery_order():
     assert a.found and b.found
     assert a.value == pytest.approx(b.value, rel=1e-12, abs=0)
     assert a.separation_achieved == pytest.approx(b.separation_achieved, rel=1e-9, abs=0)
+
+
+def test_polished_pair_independent_of_candidate_order():
+    # Reversing the candidates swaps X1 and X2 in every pair; each pair's
+    # polished point fits the observed entries equally well either way.
+    inst = helpers.path_instance(6, 0.05, 11)
+    reps = _endpoints(inst, bmland.LossSpec.l2(), 30, seed=1, threads=2)[0]
+    assert len(reps) >= 2
+    separation = 1e-3 * float(np.linalg.norm(inst.m_star()))
+    fwd, rev = (_best_pair(inst, c, separation, 2000) for c in (reps, reps[::-1]))
+    assert fwd.found and rev.found
+    assert fwd.value == pytest.approx(rev.value, rel=1e-10, abs=0)
+
+
+def test_estimate_classifies_nothing(monkeypatch):
+    calls = []
+    classify = bmland.census.classify_critical_point
+    monkeypatch.setattr(
+        bmland.census, "classify_critical_point", lambda *a: calls.append(1) or classify(*a)
+    )
+    inst = helpers.path_instance(6, 0.05, 11)
+    est = bmland.estimate_complexity_metric(inst, bmland.MetricBudget(30, 2000), seed=1)
+    assert est.found
+    assert len(calls) == 0
