@@ -9,13 +9,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 from scipy import stats
 
-from .errors import (
-    DimensionMismatch,
-    MissingS,
-    NotNearCritical,
-    SingularHessian,
-    UnmatchedEndpoint,
-)
+from .errors import DimensionMismatch, MissingS, UnmatchedEndpoint
 from .graphs import BlockSparsityGraph, analyze_graph, induce_measurement_set
 from .instances import McInstance, assemble_instance, build_canonical_ground_truth, perturb
 from .landscape import LossSpec, canonicalize, objective
@@ -92,9 +86,9 @@ def _endpoints(inst, loss, n_starts, seed, cfg=None, dist="gaussian", sigma=1.0,
     """The census's endpoint stage, without classification: (reps, hits,
     n_converged), the canonical representatives (K, n, r) in (objective,
     bytes) order with each one's hit count. Endpoints are canonicalized and
-    grouped coarsely; one point per coarse group is Newton-refined, and the
-    groups are re-merged at ``dedup_radius``. Non-converged starts are
-    excluded from hit counts."""
+    grouped coarsely; the first points of the coarse groups are polished as
+    one stack (``newton_refine``), and the groups are re-merged at
+    ``dedup_radius``. Non-converged starts are excluded from hit counts."""
     if n_starts < 1:
         raise DimensionMismatch("n_starts must be >= 1")
     if not dedup_radius > 0:
@@ -107,13 +101,7 @@ def _endpoints(inst, loss, n_starts, seed, cfg=None, dist="gaussian", sigma=1.0,
     converged = res.converged
     canon = canonicalize(res.points[converged])
     coarse = _cluster(canon, COARSE_RADIUS)
-    refined = canon[[group[0] for group in coarse]]
-    for k, rep in enumerate(refined):
-        try:
-            refined[k] = canonicalize(newton_refine(inst, loss, rep))
-        except (NotNearCritical, SingularHessian):
-            pass
-
+    refined = canonicalize(newton_refine(inst, loss, canon[[group[0] for group in coarse]]))
     groups = _cluster(refined, dedup_radius)
     reps = refined[[group[0] for group in groups]]
     values = objective(inst, loss, reps) if len(reps) else []
@@ -134,19 +122,17 @@ def multistart_census(
     dedup_radius: float = 1e-4,
     threads: int = 1,
 ) -> CensusReport:
-    """Run n_starts seeded descents, then classify each representative that
-    the endpoint stage ``_endpoints`` returns, in its order."""
+    """Run n_starts seeded descents, then classify the representatives that
+    the endpoint stage ``_endpoints`` returns, in its order, as one stack."""
     reps, hits, n_converged = _endpoints(
         inst, loss, n_starts, seed, cfg, dist, sigma, radius, dedup_radius, threads
     )
-    records = []
-    for rep, hit_count in zip(reps, hits):
-        v = classify_critical_point(inst, loss, rep)
-        records.append(
-            CriticalPointRecord(rep, v.objective, v.grad_norm, v.lambda_min, v.kind, hit_count)
-        )
+    verdicts = classify_critical_point(inst, loss, reps)
     return CensusReport(
-        classes=records,
+        classes=[
+            CriticalPointRecord(rep, v.objective, v.grad_norm, v.lambda_min, v.kind, hit_count)
+            for rep, v, hit_count in zip(reps, verdicts, hits)
+        ],
         n_starts=n_starts,
         dedup_radius=dedup_radius,
         n_converged=n_converged,

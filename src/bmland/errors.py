@@ -66,10 +66,6 @@ class NotPSD(NumericalError):
     pass
 
 
-class SingularHessian(NumericalError):
-    pass
-
-
 class NotNearCritical(NumericalError):
     pass
 

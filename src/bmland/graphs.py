@@ -30,6 +30,17 @@ def _norm(i: int, j: int) -> Edge:
     return (i, j) if i <= j else (j, i)
 
 
+def gram(X: np.ndarray) -> np.ndarray:
+    """X X^T of a (..., n, r) stack, (..., n, n): an elementwise outer
+    product at r = 1, otherwise a batched matmul whose right operand is a
+    contiguous copy of X^T. A transposed view there is several times slower,
+    and at some n its rounding differs from the contiguous form's; the
+    contiguous product has the same bits for a point alone as in a stack."""
+    if X.shape[-1] == 1:
+        return X * X.swapaxes(-1, -2)
+    return X @ np.ascontiguousarray(X.swapaxes(-1, -2))
+
+
 @dataclass(frozen=True)
 class BlockSparsityGraph:
     """Pair of edge sets over m block-vertices."""
@@ -154,16 +165,8 @@ class MeasurementSet:
         return self.cols.shape[1] == self.n
 
     def dense_products(self, X: np.ndarray) -> np.ndarray:
-        """The products (X X^T) * mask of a (..., n, r) stack, (..., n, n):
-        an elementwise outer product at r = 1, otherwise a batched matmul
-        whose right operand is a contiguous copy of X^T. A transposed view
-        there is several times slower, and at some n its rounding differs
-        from the contiguous form's; the contiguous product has the same bits
-        for a point alone as in a stack."""
-        if X.shape[-1] == 1:
-            P = X * X.swapaxes(-1, -2)
-        else:
-            P = X @ np.ascontiguousarray(X.swapaxes(-1, -2))
+        """The products ``gram(X) * mask`` of a (..., n, r) stack, (..., n, n)."""
+        P = gram(X)
         P *= self._mask
         return P
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidS, MissingGraph, ZeroMatrix
-from .graphs import BlockSparsityGraph, MeasurementSet, analyze_graph
+from .graphs import BlockSparsityGraph, MeasurementSet, analyze_graph, gram
 
 
 @dataclass
@@ -42,7 +42,8 @@ class McInstance:
         self._targets = None
 
     def m_star(self) -> np.ndarray:
-        return self.x_star @ self.x_star.T
+        """M* = X* X*^T, formed as the kernel forms its products (``gram``)."""
+        return gram(self.x_star)
 
     def m_star_omega(self) -> np.ndarray:
         """Observed entries of M*, the kernel's dense products, cached (write-once)."""

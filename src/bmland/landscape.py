@@ -22,8 +22,9 @@ zero. It broadcasts over leading batch axes, so a stack of factors of shape
 ``_value_and_gradient``, which also takes a stack of per-point targets, so
 one descent can carry the starts of several instances over one Omega. Each
 point's result has the same bits whatever stack it is part of.
-``masked_residual`` and the Hessian routines work on the dense mask, on a
-single point.
+``masked_residual`` and the Hessian routines work on the dense mask;
+``dense_hessian`` and ``min_hessian_eigen`` take a point or a stack, and a
+point's Hessian has the same bits alone as in a stack.
 """
 
 from __future__ import annotations
@@ -176,47 +177,52 @@ def hessian_quadratic(
     S = (X @ D.T + D @ X.T) * W
     val = 4.0 * np.sum(R * (D @ D.T)) + 2.0 * np.sum(S * S)
     if loss.regularized:
+        # Only the rows with ||X_i|| > alpha, so that no zero row is divided by.
         t = np.linalg.norm(X, axis=-1)
-        excess = np.maximum(t - loss.alpha, 0.0)
-        xd = np.sum(X * D, axis=-1)
-        dd = np.sum(D * D, axis=-1)
-        active = excess > 0
-        ts = np.maximum(t, 1e-300)
+        active = t > loss.alpha
+        t, x, d = t[active], X[active], D[active]
+        excess = t - loss.alpha
+        xd = np.sum(x * d, axis=-1)
+        dd = np.sum(d * d, axis=-1)
         row_quad = 4.0 * loss.lam * (
-            3.0 * excess**2 * xd**2 / ts**2
-            + excess**3 * (dd / ts - xd**2 / ts**3)
+            3.0 * excess**2 * xd**2 / t**2
+            + excess**3 * (dd / t - xd**2 / t**3)
         )
-        val += float(np.sum(row_quad[active]))
+        val += float(np.sum(row_quad))
     return float(val)
 
 
 def dense_hessian(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray:
-    """Symmetric (n*r) x (n*r) Hessian in row-major vec(X) coordinates."""
+    """Symmetric (n*r) x (n*r) Hessian in row-major vec(X) coordinates, of a
+    point, or (K, n*r, n*r) of a (K, n, r) stack. A point's Hessian has the
+    same bits alone as in a stack."""
     X = _check_shape(inst, X)
     n, r = inst.n, inst.r
+    single = X.ndim == 2
+    X = X[None] if single else X
     W = inst.omega.mask()
     R = masked_residual(inst, X)
 
-    H = 4.0 * np.einsum("ij,ab->iajb", R, np.eye(r))
+    H = 4.0 * np.einsum("...ij,ab->...iajb", R, np.eye(r))
     # self terms: 4 * sum_i W_ij X_ia X_ib on block (j, j)
-    diag = 4.0 * np.einsum("ij,ia,ib->jab", W, X, X)
-    idx = np.arange(n)
-    H[idx, :, idx, :] += diag
+    diag = 4.0 * np.einsum("ij,...ia,...ib->...jab", W, X, X)
+    H[np.arange(len(X))[:, None], np.arange(n), :, np.arange(n), :] += diag
     # cross terms: 4 * W_pq X_qa X_pb on block (p, q)
-    H += 4.0 * np.einsum("pq,qa,pb->paqb", W, X, X)
+    H += 4.0 * np.einsum("pq,...qa,...pb->...paqb", W, X, X)
 
     if loss.regularized:
         t = np.linalg.norm(X, axis=-1)
-        excess = np.maximum(t - loss.alpha, 0.0)
-        for i in np.nonzero(excess > 0)[0]:
-            x = X[i]
-            ti, ei = t[i], excess[i]
-            outer = np.outer(x, x)
-            H[i, :, i, :] += 4.0 * loss.lam * (
-                3.0 * ei**2 * outer / ti**2
-                + ei**3 * (np.eye(r) / ti - outer / ti**3)
-            )
-    return H.reshape(n * r, n * r)
+        # The blocks of the rows with ||X_i|| > alpha, as an (m, r, r) stack.
+        k, i = np.nonzero(t > loss.alpha)
+        x, ti = X[k, i], t[k, i, None, None]
+        ei = ti - loss.alpha
+        outer = x[:, :, None] * x[:, None, :]
+        H[k, i, :, i, :] += 4.0 * loss.lam * (
+            3.0 * ei**2 * outer / ti**2
+            + ei**3 * (np.eye(r) / ti - outer / ti**3)
+        )
+    H = H.reshape(len(X), n * r, n * r)
+    return H[0] if single else H
 
 
 def tangent_indices(n: int, r: int) -> np.ndarray:
@@ -233,22 +239,27 @@ def min_hessian_eigen(
     subspace: str = "full",
 ) -> tuple[float, np.ndarray]:
     """Minimal eigenvalue and eigen-direction of the dense Hessian, optionally
-    restricted to the lower-triangular tangent subspace."""
-    X = _check_shape(inst, X)
-    n, r = inst.n, inst.r
-    H = dense_hessian(inst, loss, X)
+    restricted to the lower-triangular tangent subspace; of a (K, n, r)
+    stack, (K,) eigenvalues and (K, n, r) directions."""
+    lam, direction = _min_eigen(dense_hessian(inst, loss, X), inst.n, inst.r, subspace)
+    return (float(lam), direction) if lam.ndim == 0 else (lam, direction)
+
+
+def _min_eigen(H: np.ndarray, n: int, r: int, subspace: str):
+    """``min_hessian_eigen`` of given (..., n*r, n*r) Hessians, from one
+    batched ``eigh``: the (...) minimal eigenvalues and (..., n, r)
+    eigen-directions."""
     if subspace == "lower_triangular_tangent":
         idx = tangent_indices(n, r)
-        H = H[np.ix_(idx, idx)]
-        vals, vecs = np.linalg.eigh(H)
-        direction = np.zeros(n * r)
-        direction[idx] = vecs[:, 0]
+        vals, vecs = np.linalg.eigh(H[..., idx[:, None], idx])
+        direction = np.zeros(H.shape[:-1])
+        direction[..., idx] = vecs[..., 0]
     elif subspace == "full":
         vals, vecs = np.linalg.eigh(H)
-        direction = vecs[:, 0]
+        direction = vecs[..., 0]
     else:
         raise DimensionMismatch(f"unknown subspace {subspace!r}")
-    return float(vals[0]), direction.reshape(n, r)
+    return vals[..., 0], direction.reshape(H.shape[:-2] + (n, r))
 
 
 def restriction_map(X: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .census import _endpoints
 from .errors import DimensionMismatch
+from .graphs import gram
 from .instances import McInstance
 from .landscape import LossSpec
 from .optimize import _sq_norms, descend_batch
@@ -54,8 +55,8 @@ def _terms(inst: McInstance, Z: np.ndarray):
     r = inst.r
     X1, X2 = Z[..., :r], Z[..., r:]
     W = inst.omega.mask()
-    g1 = X1 @ X1.swapaxes(-1, -2)
-    delta = g1 - X2 @ X2.swapaxes(-1, -2)
+    g1 = gram(X1)
+    delta = g1 - gram(X2)
     r0 = g1 * W - inst.m_star_omega()
     r2 = delta * W
     return X1, X2, r0, r2, delta, np.sqrt(_sq_norms(delta))

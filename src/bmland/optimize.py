@@ -15,6 +15,12 @@ one (rows, n, d) temporary of the kernel, d the width of Omega's row lists,
 stays within a fixed byte budget. Per-sample arithmetic is identical
 regardless of how the stack is chunked or what else it holds, which keeps
 experiment outputs bit-stable under any number of workers.
+
+The second-order layer works on stacks too: ``newton_refine`` polishes a
+stack of near-critical points with damped saddle-free Newton steps, and
+``classify_critical_point`` judges a stack; both take their Hessians from
+``dense_hessian`` in chunks of at most ``CHUNK_BUDGET_BYTES``, each with one
+batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -26,17 +32,16 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotNearCritical, SingularHessian
+from .errors import DimensionMismatch, NotNearCritical
 from .instances import McInstance
 from .landscape import (
     LossSpec,
     _check_shape,
+    _min_eigen,
     _value_and_gradient,
     canonicalize,
     dense_hessian,
-    gradient,
-    objective,
-    tangent_indices,
+    value_and_gradient,
 )
 
 STEP_GROWTH = 1.5
@@ -51,6 +56,11 @@ CHUNK_BUDGET_BYTES = 64 * 2**20
 # 256 starts over one step took 32 ms on a two-worker fork pool against 0.5 ms
 # in-process (2-core x86 VM), so a chunk must carry enough work to pay for it.
 MIN_CHUNK_ROWS = 128
+# The stacked Newton polish: its most steps, its initial damping, and the
+# relative rise of f that counts as roundoff.
+REFINE_STEPS = 100
+REFINE_DAMPING = 1e-3
+REFINE_ROUNDOFF = 1e-14
 
 
 class Status(str, enum.Enum):
@@ -399,86 +409,72 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1):
     )
 
 
-def _solve_newton_step(H: np.ndarray, g: np.ndarray, r: int):
-    """Newton step restricted to the well-conditioned eigenspace.
-
-    Eigenvalues below 1e-8 of the spectral radius are dropped: they span
-    orbit directions, flat manifold directions at degenerate minima, or
-    noise, and the gradient has no meaningful component there.
-    """
-    vals, vecs = np.linalg.eigh(H)
-    absvals = np.abs(vals)
-    vmax = absvals.max(initial=0.0)
-    if vmax == 0.0:
-        raise SingularHessian("Hessian is zero")
-    keep = absvals >= 1e-8 * vmax
-    keep[np.argsort(absvals)[: r * (r - 1) // 2]] = False  # orbit null space
-    if not keep.any():
-        raise SingularHessian("no well-conditioned Hessian directions")
-    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
-    return -vecs @ (inv * (vecs.T @ g))
+def _hessian_chunks(inst: McInstance, loss: LossSpec, X: np.ndarray):
+    """(slice, Hessians) over consecutive chunks of a (K, n, r) stack, cut so
+    that one chunk's (rows, n*r, n*r) Hessians take at most
+    ``CHUNK_BUDGET_BYTES``."""
+    rows = max(1, CHUNK_BUDGET_BYTES // (8 * (inst.n * inst.r) ** 2))
+    for lo in range(0, len(X), rows):
+        yield slice(lo, lo + rows), dense_hessian(inst, loss, X[lo : lo + rows])
 
 
-def newton_refine(inst: McInstance, loss: LossSpec, x: np.ndarray) -> np.ndarray:
-    """Damped Newton polish of an approximately critical point, in at most 50
-    steps, to a gradient norm of 1e-12 (1 + ||M*_Omega||); a point whose
-    gradient norm is above 1e-3 (1 + ||M*_Omega||) is rejected as not near a
-    critical point.
+def newton_refine(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray:
+    """Damped saddle-free Newton polish of an approximately critical point,
+    or of a (K, n, r) stack of them, to a gradient norm of
+    1e-12 (1 + ||M*_Omega||), in at most ``REFINE_STEPS`` steps.
 
-    For r > 1, directions along the orthogonal-orbit null space are excluded
-    from the step (the gradient has no component there).
+    A point whose gradient norm is above 1e-3 (1 + ||M*_Omega||) is not near
+    a critical point: alone it raises ``NotNearCritical``, in a stack it is
+    returned as it is. Each step takes, for every point still running,
+    s = -V (|L| + mu max|L|)^-1 V^T g from one batched ``eigh`` of its
+    Hessians H = V L V^T (Dauphin et al. 2014). The step is accepted when f
+    does not rise beyond roundoff and f or the gradient norm falls; the
+    point's damping mu is then divided by 10, and otherwise multiplied by 10.
+    A point's result does not depend on the rest of the stack.
     """
     scale = 1.0 + inst.omega_scale()
     tol = 1e-12 * scale
     coarse_tol = 1e-3 * scale
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n, r = inst.n, inst.r
-
-    g = gradient(inst, loss, x)
-    gn = float(np.linalg.norm(g))
-    if gn > coarse_tol:
-        raise NotNearCritical(f"gradient norm {gn:.3e} above {coarse_tol:.3e}")
-    for _ in range(50):
-        if gn <= tol:
+    X = _check_shape(inst, X)
+    single = X.ndim == 2
+    X = X[None].copy() if single else X.copy()
+    f, G = value_and_gradient(inst, loss, X)
+    gn = np.sqrt(_sq_norms(G))
+    if single and not gn[0] <= coarse_tol:
+        raise NotNearCritical(f"gradient norm {gn[0]:.3e} above {coarse_tol:.3e}")
+    mu = np.full(len(X), REFINE_DAMPING)
+    run = np.nonzero((gn > tol) & (gn <= coarse_tol))[0]
+    for _ in range(REFINE_STEPS):
+        if not run.size:
             break
-        step = _solve_newton_step(dense_hessian(inst, loss, x), g.reshape(-1), r)
-        damping = 1.0
-        for _ in range(25):
-            cand = x + damping * step.reshape(n, r)
-            g_cand = gradient(inst, loss, cand)
-            gn_cand = float(np.linalg.norm(g_cand))
-            if gn_cand < gn:
-                x, g, gn = cand, g_cand, gn_cand
-                break
-            damping *= 0.5
-        else:
-            break  # no productive damping left
-    if gn > tol:
-        # The quadratic model breaks down near degenerate (e.g. quartic-flat)
-        # minima; a trust-region polish of the objective handles those.
-        x = _trust_region_polish(inst, loss, x, gn, tol)
-    return x
+        Xr = X[run]
+        steps = np.empty((len(run), inst.n * inst.r))
+        for sl, H in _hessian_chunks(inst, loss, Xr):
+            lam, V = np.linalg.eigh(H)
+            lam = np.abs(lam)
+            lam += mu[run[sl], None] * lam.max(axis=-1, keepdims=True)
+            coef = (G[run[sl]].reshape(-1, 1, H.shape[-1]) @ V)[:, 0]
+            # A zero Hessian gives no step.
+            coef = np.divide(coef, lam, out=np.zeros_like(coef), where=lam > 0)
+            steps[sl] = (V @ coef[..., None])[..., 0]
+        Xr -= steps.reshape(Xr.shape)
+        fr, Gr = value_and_gradient(inst, loss, Xr)
+        gr = np.sqrt(_sq_norms(Gr))
+        ok = (fr <= f[run] + REFINE_ROUNDOFF * f[run]) & ((fr < f[run]) | (gr < gn[run]))
+        done = run[ok]
+        X[done], f[done], G[done], gn[done] = Xr[ok], fr[ok], Gr[ok], gr[ok]
+        mu[run] *= np.where(ok, 0.1, 10.0)
+        run = run[gn[run] > tol]
+    return X[0] if single else X
 
 
-def _trust_region_polish(
-    inst: McInstance, loss: LossSpec, x: np.ndarray, gn: float, tol: float
-) -> np.ndarray:
-    from scipy import optimize as _sopt
-
-    n, r = inst.n, inst.r
-    res = _sopt.minimize(
-        lambda v: objective(inst, loss, v.reshape(n, r)),
-        x.reshape(-1),
-        jac=lambda v: gradient(inst, loss, v.reshape(n, r)).reshape(-1),
-        hess=lambda v: dense_hessian(inst, loss, v.reshape(n, r)),
-        method="trust-exact",
-        options={"gtol": tol, "maxiter": 200},
-    )
-    if float(np.linalg.norm(res.jac)) < gn:
-        return res.x.reshape(n, r)
-    return x
+_VERDICTS = (
+    Classification.NOT_CRITICAL,
+    Classification.GLOBAL_MIN,
+    Classification.STRICT_SADDLE,
+    Classification.SPURIOUS_LOCAL_MIN,
+    Classification.DEGENERATE,
+)
 
 
 @dataclass(frozen=True)
@@ -491,34 +487,35 @@ class ClassifiedPoint:
     lambda_min: float
 
 
-def classify_critical_point(inst: McInstance, loss: LossSpec, x: np.ndarray) -> ClassifiedPoint:
-    """First-order check, then spectral second-order classification, from
-    one gradient, one dense Hessian and one eigensolve. The point is
+def classify_critical_point(inst: McInstance, loss: LossSpec, X: np.ndarray):
+    """First-order check, then spectral second-order classification, of a
+    point, or of a (K, n, r) stack as a list of verdicts: one kernel call,
+    stacked dense Hessians and one batched eigensolve. Points are
     canonicalized and judged on the lower-triangular tangent.
 
     A point is critical when its gradient norm is at most 1e-8, a global
     minimum when f <= 1e-8 max(||M*_Omega||^2, 1), and its eigenvalues count
     as zero within 1e-7 max(1, |tr H| / dim H)."""
     # At r=1 this only flips signs, and the tangent is the whole space.
-    x = canonicalize(x)
-    gn = float(np.linalg.norm(gradient(inst, loss, x)))
-    H = dense_hessian(inst, loss, x)
-    idx = tangent_indices(inst.n, inst.r)
-    lam_min = float(np.linalg.eigh(H[np.ix_(idx, idx)])[0][0])
-    f = float(objective(inst, loss, x))
+    X = canonicalize(_check_shape(inst, X))
+    single = X.ndim == 2
+    X = X[None] if single else X
+    f, G = value_and_gradient(inst, loss, X)
+    gn = np.sqrt(_sq_norms(G))
+    lam_min, eig_tol = np.empty(len(X)), np.empty(len(X))
+    for sl, H in _hessian_chunks(inst, loss, X):
+        lam_min[sl] = _min_eigen(H, inst.n, inst.r, "lower_triangular_tangent")[0]
+        eig_tol[sl] = 1e-7 * np.maximum(1.0, np.abs(np.trace(H, axis1=-2, axis2=-1)) / H.shape[-1])
     global_tol = 1e-8 * max(inst.omega_scale() ** 2, 1.0)
-    eig_tol = 1e-7 * max(1.0, abs(np.trace(H)) / H.shape[0])
-    if gn > 1e-8:
-        kind = Classification.NOT_CRITICAL
-    elif f <= global_tol:
-        kind = Classification.GLOBAL_MIN
-    elif lam_min < -eig_tol:
-        kind = Classification.STRICT_SADDLE
-    elif lam_min > eig_tol:
-        kind = Classification.SPURIOUS_LOCAL_MIN
-    else:
-        kind = Classification.DEGENERATE
-    return ClassifiedPoint(kind=kind, objective=f, grad_norm=gn, lambda_min=lam_min)
+    # The first condition that holds decides: an index into _VERDICTS.
+    kinds = np.select(
+        [gn > 1e-8, f <= global_tol, lam_min < -eig_tol, lam_min > eig_tol], range(4), 4
+    )
+    verdicts = [
+        ClassifiedPoint(_VERDICTS[k], float(v), float(g), float(lam))
+        for k, v, g, lam in zip(kinds, f, gn, lam_min)
+    ]
+    return verdicts[0] if single else verdicts
 
 
 def is_success(inst: McInstance, X: np.ndarray):

@@ -104,3 +104,13 @@ def test_incoherence_values():
 def test_omega_scale_matches_norm():
     inst = helpers.path_instance(5, gamma=0.1, seed=2)
     assert np.isclose(inst.omega_scale(), np.linalg.norm(inst.m_star_omega()))
+
+
+def test_m_star_matches_observed_products_bit_for_bit():
+    # At r >= 2 a transposed-view right operand rounds differently at n = 12.
+    g = bmland.build_erdos_renyi(6, 0.5, [1, 3, 5], seed=0)
+    omega = bmland.induce_measurement_set(g, 12, 2)
+    x = bmland.random_block_factor(6, 2, seed=0, n=12)
+    inst = bmland.assemble_instance(x, omega, g, [1, 3, 5])
+    observed = omega.mask() > 0
+    assert np.array_equal(inst.m_star()[observed], inst.m_star_omega()[observed])

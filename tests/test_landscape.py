@@ -233,14 +233,19 @@ def test_hessian_quadratic_known_values():
 def test_dense_hessian_matches_quadratic_form():
     rng = np.random.default_rng(5)
     inst = helpers.random_instance(rng, n_max=10)
-    loss = LossSpec.l2_regularized(0.7, 0.3)
-    X = rng.standard_normal(inst.x_star.shape)
-    H = bmland.dense_hessian(inst, loss, X)
-    assert np.allclose(H, H.T)
-    for _ in range(5):
-        d = rng.standard_normal(X.shape)
-        quad = float(d.reshape(-1) @ H @ d.reshape(-1))
-        assert abs(quad - bmland.hessian_quadratic(inst, loss, X, d)) <= 1e-10 * max(abs(quad), 1.0)
+    X = rng.standard_normal((4,) + inst.x_star.shape)
+    X[1] = 0.0
+    for loss in (L2, LossSpec.l2_regularized(0.7, 0.3)):
+        stacked = bmland.dense_hessian(inst, loss, X)
+        assert stacked.shape == (4, X[0].size, X[0].size)
+        for x, H in zip(X, stacked):
+            assert np.array_equal(H, bmland.dense_hessian(inst, loss, x))
+            assert np.allclose(H, H.T)
+            for _ in range(5):
+                d = rng.standard_normal(x.shape)
+                quad = float(d.reshape(-1) @ H @ d.reshape(-1))
+                quad_form = bmland.hessian_quadratic(inst, loss, x, d)
+                assert abs(quad - quad_form) <= 1e-10 * max(abs(quad), 1.0)
 
 
 def test_orbit_invariance_of_objective():
@@ -301,6 +306,12 @@ def test_min_hessian_eigen_subspaces():
     assert abs(direction[0, 1]) <= 1e-12
     with pytest.raises(DimensionMismatch):
         bmland.min_hessian_eigen(inst, L2, x, "bogus")
+    X = np.stack([x, np.random.default_rng(0).standard_normal(x.shape)])
+    for subspace in ("full", "lower_triangular_tangent"):
+        lams, directions = bmland.min_hessian_eigen(inst, L2, X, subspace)
+        for p, lam, direction in zip(X, lams, directions):
+            lam_p, direction_p = bmland.min_hessian_eigen(inst, L2, p, subspace)
+            assert lam == lam_p and np.array_equal(direction, direction_p)
 
 
 def test_masked_residual_support():

@@ -376,6 +376,45 @@ def test_newton_refine_rejects_far_point():
         bmland.newton_refine(inst, L2, far)
 
 
+def _coarse_endpoints(inst, n_starts, seed, max_iters):
+    """Canonical endpoints of descents stopped at 1e-4 (1 + ||M*_Omega||)."""
+    cfg = GdConfig(max_iters=max_iters, grad_tol=1e-4 * (1.0 + inst.omega_scale()))
+    X0 = bmland.sample_radial_init("gaussian", inst.n, inst.r, seed, size=n_starts)
+    res = bmland.gradient_descent_batch(inst, L2, X0, cfg)
+    return bmland.canonicalize(res.points[res.converged])
+
+
+def test_newton_refine_on_a_stack_matches_each_point(monkeypatch):
+    inst = helpers.star_rank2_instance()
+    far = 5.0 + np.arange(16.0).reshape(8, 2)
+    X = np.concatenate([_coarse_endpoints(inst, 12, 3, 3000), far[None]])
+    refined = bmland.newton_refine(inst, L2, X)
+    assert np.array_equal(refined[-1], far)  # not near a critical point: left as it is
+    assert np.array_equal(refined[:-1], np.stack([bmland.newton_refine(inst, L2, x) for x in X[:-1]]))
+    verdicts = bmland.classify_critical_point(inst, L2, refined)
+    assert verdicts == [bmland.classify_critical_point(inst, L2, x) for x in refined]
+    assert verdicts[-1].kind == Classification.NOT_CRITICAL
+    # Hessians taken one point per chunk give the same bits.
+    monkeypatch.setattr(optimize, "CHUNK_BUDGET_BYTES", 1)
+    assert np.array_equal(bmland.newton_refine(inst, L2, X), refined)
+    assert bmland.classify_critical_point(inst, L2, refined) == verdicts
+
+
+def test_newton_refine_polishes_cross_pattern_endpoints():
+    # Acceptance 05's benign cross pattern: its global minima curve weakly
+    # (tangent lambda_min near 4e-3), and the descents stop at 1e-4.
+    g = bmland.build_named_pattern("cross", m=4, k=4)
+    omega = bmland.induce_measurement_set(g, 8, 2)
+    inst = bmland.assemble_instance(bmland.random_block_factor(4, 2, seed=21), omega, g)
+    X = _coarse_endpoints(inst, 40, 5, 20000)
+    assert len(X) >= 30
+    refined = bmland.newton_refine(inst, L2, X)
+    grad_norms = np.linalg.norm(bmland.gradient(inst, L2, refined), axis=(1, 2))
+    assert np.all(grad_norms <= 1e-12 * (1.0 + inst.omega_scale()))
+    verdicts = bmland.classify_critical_point(inst, L2, refined)
+    assert {v.kind for v in verdicts} == {Classification.GLOBAL_MIN}
+
+
 def test_classification_of_known_points():
     inst = helpers.path_instance(4)
     assert bmland.classify_critical_point(inst, L2, inst.x_star).kind == Classification.GLOBAL_MIN
