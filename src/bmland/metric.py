@@ -8,6 +8,9 @@ census's endpoint stage (X1 the lower-objective one), and report the best
 feasible pair after the final polish — an upper bound only; infeasibility
 within budget is reported as "no pair found", never as a proof that none
 exists.
+
+The penalty is a sum of squared residuals, so each penalty round, and the
+polish, is one damped Gauss-Newton solve of the whole pair stack.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import numpy as np
 
 from .census import _endpoints
 from .errors import DimensionMismatch
-from .graphs import gram
 from .instances import McInstance
 from .landscape import LossSpec
-from .optimize import _sq_norms, descend_batch
+from .optimize import _damped_newton, _sq_norms
 
 RHO_ROUNDS = 5
 RHO_GROWTH = 10.0
@@ -41,31 +43,36 @@ class MetricEstimate:
 
 @dataclass(frozen=True)
 class MetricBudget:
-    restarts: int = 30
-    iters: int = 2000
+    restarts: int = 30  # starts of the endpoint stage
+    iters: int = 2000  # most solver steps of each penalty round and of the polish
 
     def __post_init__(self):
         if self.restarts < 2 or self.iters < 1:
             raise DimensionMismatch("need restarts >= 2 and iters >= 1")
 
 
-def _terms(inst: McInstance, Z: np.ndarray):
-    """Fit residual, on-support mismatch, full Gram difference and its norm
-    for a (P, n, 2r) stack of pairs Z = [X1 | X2]."""
-    r = inst.r
+def _separation(Z: np.ndarray, r: int):
+    """d = ||X1 X1^T - X2 X2^T||_F of a (P, n, 2r) stack of pairs [X1 | X2],
+    and the gradient of d^2, from r x r Gram products in O(n r^2):
+    d^2 = ||X1^T X1||^2 + ||X2^T X2||^2 - 2 ||X1^T X2||^2, clamped at 0."""
     X1, X2 = Z[..., :r], Z[..., r:]
-    W = inst.omega.mask()
-    g1 = gram(X1)
-    delta = g1 - gram(X2)
-    r0 = g1 * W - inst.m_star_omega()
-    r2 = delta * W
-    return X1, X2, r0, r2, delta, np.sqrt(_sq_norms(delta))
+    # Four products of one form, so that at X1 = X2 they have the same bits
+    # and d is 0 (A^T A alone would take another BLAS path).
+    T1, T2 = (np.ascontiguousarray(X.swapaxes(-1, -2)) for X in (X1, X2))
+    G11, G12, G21, G22 = T1 @ X1, T1 @ X2, T2 @ X1, T2 @ X2
+    d2 = _sq_norms(G11) + _sq_norms(G22) - 2.0 * _sq_norms(G12)
+    grad = 4.0 * np.concatenate([X1 @ G11 - X2 @ G21, X2 @ G22 - X1 @ G12], axis=-1)
+    return np.sqrt(np.maximum(d2, 0.0)), grad
 
 
 @dataclass(frozen=True)
 class _PairPenalty:
-    """w0 ||r0||^2 + rho ||r2||^2 + rho_sep max(separation - d, 0)^2, batched
-    over a (P, n, 2r) stack of pairs."""
+    """w0 ||r0||^2 + rho ||r2||^2 + rho_sep gap^2, gap = max(separation - d, 0),
+    of a (P, n, 2r) stack of pairs Z = [X1 | X2]: the squared norm of the
+    residuals res = (sqrt(w0) r0, sqrt(rho) r2, sqrt(rho_sep) gap), with
+    r0 = X1 X1^T - M* and r2 = X1 X1^T - X2 X2^T on Omega's observed entries
+    and d from ``_separation``. The value is ||res||^2, the gradient
+    2 J^T res and the curvature 2 J^T J, J the exact Jacobian of res."""
 
     inst: McInstance
     w0: float
@@ -73,23 +80,46 @@ class _PairPenalty:
     rho_sep: float
     separation: float
 
-    def value_and_grad(self, Z: np.ndarray):
-        X1, X2, r0, r2, delta, d = _terms(self.inst, Z)
+    def residuals(self, Z: np.ndarray):
+        """res, (P, 2m + 1) over the m entries of Omega's row lists, its
+        (P, 2m + 1, 2nr) Jacobian, and d."""
+        omega, r = self.inst.omega, self.inst.r
+        i, k = np.nonzero(omega.valid)
+        j, m, e = omega.cols[i, k], len(i), np.arange(len(i))
+        J = np.zeros((len(Z), 2 * m + 1) + Z.shape[1:])
+        prods = []
+        for half in (slice(0, r), slice(r, 2 * r)):
+            # The products X_i . X_j, summed in the order of ``row_products``,
+            # and their derivatives, X_j on row i and X_i on row j.
+            X = Z[..., half]
+            prods.append(np.sum(X[:, i] * X[:, j], axis=-1))
+            J[:, m + e, i, half] = X[:, j]
+            J[:, m + e, j, half] += X[:, i]
+        J[:, m:-1, :, r:] *= -1.0
+        J[:, :m, :, :r] = J[:, m:-1, :, :r]
+        d, grad = _separation(Z, r)
         gap = np.maximum(self.separation - d, 0.0)
-        value = self.w0 * _sq_norms(r0) + self.rho * _sq_norms(r2) + self.rho_sep * gap * gap
-        coef = np.divide(2.0 * self.rho_sep * gap, d, out=np.zeros_like(d), where=d > 0)
-        A = 4.0 * self.rho * r2 - 2.0 * coef[:, None, None] * delta
-        return value, np.concatenate([(4.0 * self.w0 * r0 + A) @ X1, -A @ X2], axis=-1)
+        # d gap / dZ = -grad / (2 d) while the gap is active.
+        active = ((gap > 0) & (d > 0))[:, None, None]
+        np.divide(grad, -2.0 * d[:, None, None], out=J[:, -1], where=active)
+        target = self.inst.observed_targets()[i, k]
+        res = np.concatenate([prods[0] - target, prods[0] - prods[1], gap[:, None]], axis=1)
+        w = np.sqrt(np.repeat([self.w0, self.rho, self.rho_sep], [m, m, 1]))
+        return res * w, J.reshape(len(Z), 2 * m + 1, -1) * w[:, None], d
 
-    def descend(self, Z: np.ndarray, iters: int, grad_tol: float) -> np.ndarray:
-        """Monotone descent of every pair from a step set by its start."""
-        r = self.inst.r
-        sizes = np.maximum(_sq_norms(Z[..., :r]), _sq_norms(Z[..., r:]))
-        scale = self.inst.omega_scale() + 3.0 * np.maximum(sizes, 1.0)
-        steps0 = 0.25 / (4.0 * (self.w0 + self.rho) * scale)
-        return descend_batch(
-            lambda Z, idx: self.value_and_grad(Z), Z, steps0, iters, grad_tol, np.inf
-        ).points
+    def value_and_grad(self, Z: np.ndarray):
+        res, J, _ = self.residuals(Z)
+        return np.einsum("pm,pm->p", res, res), 2.0 * (res[:, None] @ J).reshape(Z.shape)
+
+    def curvature(self, Z: np.ndarray) -> np.ndarray:
+        J = self.residuals(Z)[1]
+        return 2.0 * (J.swapaxes(-1, -2) @ J)
+
+    def solve(self, Z: np.ndarray, iters: int, grad_tol: float) -> np.ndarray:
+        """One damped Gauss-Newton solve of every pair, to a gradient of
+        ``grad_tol`` max(w0, rho, rho_sep), in at most ``iters`` steps."""
+        tol = grad_tol * max(self.w0, self.rho, self.rho_sep)
+        return _damped_newton(self.value_and_grad, self.curvature, Z, tol, iters)
 
 
 def estimate_complexity_metric(
@@ -113,9 +143,10 @@ def estimate_complexity_metric(
 
 
 def _best_pair(inst: McInstance, reps: np.ndarray, separation: float, iters: int) -> MetricEstimate:
-    """Descend every pair of candidates (the earlier one as X1) through the
-    penalty rounds, then report the feasible polished pair of least fit
-    residual: ties go to the earlier pair."""
+    """Solve every pair of candidates (the earlier one as X1) through the
+    penalty rounds, each one ``_PairPenalty.solve`` of the whole pair stack,
+    then report the feasible polished pair of least fit residual: ties go to
+    the earlier pair."""
     feas_tol = 1e-6 * (1.0 + inst.omega_scale())
     grad_tol = 1e-12 * (1.0 + inst.omega_scale()) ** 2
     rounds = [(1.0, RHO_GROWTH**k, RHO_GROWTH**k) for k in range(1, RHO_ROUNDS + 1)]
@@ -124,16 +155,17 @@ def _best_pair(inst: McInstance, reps: np.ndarray, separation: float, iters: int
     rounds.append((0.0, 1.0, 1.0))
     Z = np.stack([np.concatenate(pair, axis=1) for pair in itertools.combinations(reps, 2)])
     for w0, rho, rho_sep in rounds:
-        Z = _PairPenalty(inst, w0, rho, rho_sep, separation).descend(Z, iters, grad_tol)
+        Z = _PairPenalty(inst, w0, rho, rho_sep, separation).solve(Z, iters, grad_tol)
 
-    X1, X2, r0, r2, _, d = _terms(inst, Z)
-    feasible = (np.sqrt(_sq_norms(r2)) <= feas_tol) & (d >= separation)
-    values = np.where(feasible, np.sqrt(_sq_norms(r0)), np.inf)
+    res, _, d = _PairPenalty(inst, 1.0, 1.0, 0.0, separation).residuals(Z)
+    fit, mismatch = np.split(res[:, :-1], 2, axis=1)
+    feasible = (np.linalg.norm(mismatch, axis=-1) <= feas_tol) & (d >= separation)
+    values = np.where(feasible, np.linalg.norm(fit, axis=-1), np.inf)
     k = int(np.argmin(values))
     if not feasible[k]:
         return MetricEstimate()
     return MetricEstimate(
         value=float(values[k]),
-        witness_pair=(X1[k].copy(), X2[k].copy()),
+        witness_pair=(Z[k, :, : inst.r].copy(), Z[k, :, inst.r :].copy()),
         separation_achieved=float(d[k]),
     )

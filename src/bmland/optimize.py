@@ -2,25 +2,25 @@
 Newton refinement, and critical-point classification.
 
 ``descend_batch`` is the one descent loop: it advances a stack of independent
-iterates of any batched value-and-gradient function, and both the factorized
-objective (``gradient_descent_batch``, through ``value_and_gradient``'s
-arithmetic) and the metric's pair penalty run through it. Each step makes one
-fused call on the samples still running; the loop keeps its per-sample
-counters as iteration stamps, so that a step writes only the counters it
-resets, and a rejected step copies back only the rejected rows. One stack may
-hold the starts of several instances over one Omega, each start with its own
-target and tolerances. ``run_batch_chunked`` splits a large stack into chunks
-and runs them in forked worker processes; a chunk's rows are capped so that
-one (rows, n, d) temporary of the kernel, d the width of Omega's row lists,
-stays within a fixed byte budget. Per-sample arithmetic is identical
-regardless of how the stack is chunked or what else it holds, which keeps
-experiment outputs bit-stable under any number of workers.
+iterates of any batched value-and-gradient function, and the factorized
+objective runs through it (``gradient_descent_batch``, through
+``value_and_gradient``'s arithmetic). Each step makes one fused call on the
+samples still running; the loop keeps its per-sample counters as iteration
+stamps, so that a step writes only the counters it resets, and a rejected
+step copies back only the rejected rows. One stack may hold the starts of
+several instances over one Omega, each start with its own target and
+tolerances. ``run_batch_chunked`` splits a large stack into chunks and runs
+them in forked worker processes; a chunk's rows are capped so that one
+(rows, n, d) temporary of the kernel, d the width of Omega's row lists, stays
+within a fixed byte budget. Per-sample arithmetic is identical regardless of
+how the stack is chunked or what else it holds, which keeps experiment
+outputs bit-stable under any number of workers.
 
-The second-order layer works on stacks too: ``newton_refine`` polishes a
-stack of near-critical points with damped saddle-free Newton steps, and
-``classify_critical_point`` judges a stack; both take their Hessians from
-``dense_hessian`` in chunks of at most ``CHUNK_BUDGET_BYTES``, each with one
-batched ``eigh``.
+``_damped_newton`` is the one second-order loop, over a stack, from a
+curvature callable: ``newton_refine`` runs it on Hessians (saddle-free
+Newton), the metric on the 2 J^T J of its pair penalty (Levenberg-Marquardt).
+``classify_critical_point`` judges a stack. Curvatures are taken in chunks of
+at most ``CHUNK_BUDGET_BYTES``, each with one batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import enum
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -409,62 +410,78 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1):
     )
 
 
-def _hessian_chunks(inst: McInstance, loss: LossSpec, X: np.ndarray):
-    """(slice, Hessians) over consecutive chunks of a (K, n, r) stack, cut so
-    that one chunk's (rows, n*r, n*r) Hessians take at most
+def _curvature_chunks(curvature, X: np.ndarray):
+    """(slice, curvatures) over consecutive chunks of a (K, ...) stack, cut so
+    that one chunk's (rows, N, N) matrices, N = X[0].size, take at most
     ``CHUNK_BUDGET_BYTES``."""
-    rows = max(1, CHUNK_BUDGET_BYTES // (8 * (inst.n * inst.r) ** 2))
+    N = int(np.prod(X.shape[1:]))
+    rows = max(1, CHUNK_BUDGET_BYTES // (8 * N**2))
     for lo in range(0, len(X), rows):
-        yield slice(lo, lo + rows), dense_hessian(inst, loss, X[lo : lo + rows])
+        yield slice(lo, lo + rows), curvature(X[lo : lo + rows])
 
 
-def newton_refine(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray:
-    """Damped saddle-free Newton polish of an approximately critical point,
-    or of a (K, n, r) stack of them, to a gradient norm of
-    1e-12 (1 + ||M*_Omega||), in at most ``REFINE_STEPS`` steps.
+def _damped_newton(value_and_grad, curvature, X: np.ndarray, tol, max_steps: int) -> np.ndarray:
+    """Damped second-order steps on a (K, ...) stack, each sample until its
+    gradient norm is at most its ``tol`` (a scalar or (K,)), in at most
+    ``max_steps`` steps. ``value_and_grad`` and ``curvature`` map a (k, ...)
+    stack to its values and gradients, and to (k, N, N) symmetric curvatures.
 
-    A point whose gradient norm is above 1e-3 (1 + ||M*_Omega||) is not near
-    a critical point: alone it raises ``NotNearCritical``, in a stack it is
-    returned as it is. Each step takes, for every point still running,
-    s = -V (|L| + mu max|L|)^-1 V^T g from one batched ``eigh`` of its
-    Hessians H = V L V^T (Dauphin et al. 2014). The step is accepted when f
-    does not rise beyond roundoff and f or the gradient norm falls; the
-    point's damping mu is then divided by 10, and otherwise multiplied by 10.
-    A point's result does not depend on the rest of the stack.
-    """
-    scale = 1.0 + inst.omega_scale()
-    tol = 1e-12 * scale
-    coarse_tol = 1e-3 * scale
-    X = _check_shape(inst, X)
-    single = X.ndim == 2
-    X = X[None].copy() if single else X.copy()
-    f, G = value_and_gradient(inst, loss, X)
+    A step is s = -V (|L| + mu max|L|)^-1 V^T g, from one batched ``eigh`` of
+    the curvatures H = V L V^T: saddle-free Newton on Hessians (Dauphin et al.
+    2014), Levenberg-Marquardt on the PSD 2 J^T J of a least-squares problem.
+    It is accepted when f does not rise beyond roundoff and f or the gradient
+    norm falls; the sample's damping mu is then divided by 10, and otherwise
+    multiplied by 10. A sample's result does not depend on the rest of the
+    stack."""
+    X = X.copy()
+    f, G = value_and_grad(X)
     gn = np.sqrt(_sq_norms(G))
-    if single and not gn[0] <= coarse_tol:
-        raise NotNearCritical(f"gradient norm {gn[0]:.3e} above {coarse_tol:.3e}")
+    tol = np.broadcast_to(tol, gn.shape)
     mu = np.full(len(X), REFINE_DAMPING)
-    run = np.nonzero((gn > tol) & (gn <= coarse_tol))[0]
-    for _ in range(REFINE_STEPS):
+    run = np.nonzero(gn > tol)[0]
+    for _ in range(max_steps):
         if not run.size:
             break
         Xr = X[run]
-        steps = np.empty((len(run), inst.n * inst.r))
-        for sl, H in _hessian_chunks(inst, loss, Xr):
+        steps = np.empty((len(run), Xr[0].size))
+        for sl, H in _curvature_chunks(curvature, Xr):
             lam, V = np.linalg.eigh(H)
             lam = np.abs(lam)
             lam += mu[run[sl], None] * lam.max(axis=-1, keepdims=True)
             coef = (G[run[sl]].reshape(-1, 1, H.shape[-1]) @ V)[:, 0]
-            # A zero Hessian gives no step.
+            # A zero curvature gives no step.
             coef = np.divide(coef, lam, out=np.zeros_like(coef), where=lam > 0)
             steps[sl] = (V @ coef[..., None])[..., 0]
         Xr -= steps.reshape(Xr.shape)
-        fr, Gr = value_and_gradient(inst, loss, Xr)
+        fr, Gr = value_and_grad(Xr)
         gr = np.sqrt(_sq_norms(Gr))
         ok = (fr <= f[run] + REFINE_ROUNDOFF * f[run]) & ((fr < f[run]) | (gr < gn[run]))
         done = run[ok]
         X[done], f[done], G[done], gn[done] = Xr[ok], fr[ok], Gr[ok], gr[ok]
         mu[run] *= np.where(ok, 0.1, 10.0)
-        run = run[gn[run] > tol]
+        run = run[gn[run] > tol[run]]
+    return X
+
+
+def newton_refine(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray:
+    """Saddle-free Newton polish (``_damped_newton`` on Hessians) of an
+    approximately critical point, or of a (K, n, r) stack, to a gradient norm
+    of 1e-12 (1 + ||M*_Omega||) in at most ``REFINE_STEPS`` steps. A point
+    whose gradient norm is above 1e-3 (1 + ||M*_Omega||) is not near a
+    critical point: alone it raises ``NotNearCritical``, in a stack it is
+    returned as it is."""
+    scale = 1.0 + inst.omega_scale()
+    coarse_tol = 1e-3 * scale
+    X = _check_shape(inst, X)
+    single = X.ndim == 2
+    X = X[None] if single else X
+    gn = np.sqrt(_sq_norms(value_and_gradient(inst, loss, X)[1]))
+    if single and not gn[0] <= coarse_tol:
+        raise NotNearCritical(f"gradient norm {gn[0]:.3e} above {coarse_tol:.3e}")
+    # A point far from critical gets an infinite tolerance: it takes no step.
+    tol = np.where(gn <= coarse_tol, 1e-12 * scale, np.inf)
+    hessians = partial(dense_hessian, inst, loss)
+    X = _damped_newton(partial(value_and_gradient, inst, loss), hessians, X, tol, REFINE_STEPS)
     return X[0] if single else X
 
 
@@ -503,7 +520,7 @@ def classify_critical_point(inst: McInstance, loss: LossSpec, X: np.ndarray):
     f, G = value_and_gradient(inst, loss, X)
     gn = np.sqrt(_sq_norms(G))
     lam_min, eig_tol = np.empty(len(X)), np.empty(len(X))
-    for sl, H in _hessian_chunks(inst, loss, X):
+    for sl, H in _curvature_chunks(partial(dense_hessian, inst, loss), X):
         lam_min[sl] = _min_eigen(H, inst.n, inst.r, "lower_triangular_tangent")[0]
         eig_tol[sl] = 1e-7 * np.maximum(1.0, np.abs(np.trace(H, axis1=-2, axis2=-1)) / H.shape[-1])
     global_tol = 1e-8 * max(inst.omega_scale() ** 2, 1.0)

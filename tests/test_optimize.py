@@ -400,6 +400,46 @@ def test_newton_refine_on_a_stack_matches_each_point(monkeypatch):
     assert bmland.classify_critical_point(inst, L2, refined) == verdicts
 
 
+def _reference_refine(inst, loss, x):
+    """``newton_refine`` of one point of a stack as a plain loop: the coarse
+    check, the saddle-free Newton step, the accept rule and the damping
+    schedule."""
+    scale = 1.0 + inst.omega_scale()
+    x = x[None]
+    f, g = bmland.value_and_gradient(inst, loss, x)
+    gn, mu, tol = np.sqrt(optimize._sq_norms(g)), optimize.REFINE_DAMPING, 1e-12 * scale
+    if not gn[0] <= 1e-3 * scale:
+        return x[0]
+    for _ in range(optimize.REFINE_STEPS):
+        if not gn[0] > tol:
+            break
+        lam, V = np.linalg.eigh(bmland.dense_hessian(inst, loss, x))
+        lam = np.abs(lam)
+        lam += mu * lam.max(axis=-1, keepdims=True)
+        coef = (g.reshape(1, 1, -1) @ V)[:, 0]
+        coef = np.divide(coef, lam, out=np.zeros_like(coef), where=lam > 0)
+        xr = x - (V @ coef[..., None])[..., 0].reshape(x.shape)
+        fr, gr = bmland.value_and_gradient(inst, loss, xr)
+        grn = np.sqrt(optimize._sq_norms(gr))
+        ok = fr[0] <= f[0] + optimize.REFINE_ROUNDOFF * f[0] and (fr[0] < f[0] or grn[0] < gn[0])
+        if ok:
+            x, f, g, gn = xr, fr, gr, grn
+        mu *= 0.1 if ok else 10.0
+    return x[0]
+
+
+@pytest.mark.parametrize("inst", [helpers.path_instance(8, 0.05, 2), helpers.star_rank2_instance()])
+def test_newton_refine_matches_reference_loop(inst):
+    # Omega's row lists at rank 1 and the identity layout at rank 2, with and
+    # without the regularizer. The points take different numbers of steps,
+    # so the stack shrinks as they finish.
+    X = _coarse_endpoints(inst, 12, 4, 2000)
+    for loss in (L2, bmland.LossSpec.l2_regularized(0.5, 1.0)):
+        refined = bmland.newton_refine(inst, loss, X)
+        assert not np.array_equal(refined, X)
+        assert np.array_equal(refined, np.stack([_reference_refine(inst, loss, x) for x in X]))
+
+
 def test_newton_refine_polishes_cross_pattern_endpoints():
     # Acceptance 05's benign cross pattern: its global minima curve weakly
     # (tangent lambda_min near 4e-3), and the descents stop at 1e-4.
