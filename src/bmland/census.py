@@ -43,6 +43,8 @@ class CensusReport:
     dedup_radius: float
     n_converged: int
     n_nonconverged: int
+    # The converged starts that reached grad_tol through the Newton polish.
+    n_polished: int = 0
 
     def by_classification(self, kind: Classification) -> list[CriticalPointRecord]:
         return [c for c in self.classes if c.classification == kind]
@@ -82,13 +84,26 @@ def _cluster(points: np.ndarray, radius: float) -> list[np.ndarray]:
 
 
 def _endpoints(inst, loss, n_starts, seed, cfg=None, dist="gaussian", sigma=1.0, radius=1.0,
-               dedup_radius=1e-4, threads=1) -> tuple[np.ndarray, list[int], int]:
+               dedup_radius=1e-4, threads=1) -> tuple[np.ndarray, list[int], int, int]:
     """The census's endpoint stage, without classification: (reps, hits,
-    n_converged), the canonical representatives (K, n, r) in (objective,
-    bytes) order with each one's hit count. Endpoints are canonicalized and
-    grouped coarsely; the first points of the coarse groups are polished as
-    one stack (``newton_refine``), and the groups are re-merged at
-    ``dedup_radius``. Non-converged starts are excluded from hit counts."""
+    n_converged, n_polished), the canonical representatives (K, n, r) in
+    (objective, bytes) order with each one's hit count.
+
+    The starts descend in polished rounds (``run_batch_chunked`` with
+    ``polish``): a start still running after ``HANDOFF_STEPS`` steps, or
+    after any later round, is polished by ``newton_refine``, and it is
+    ``Converged``, one of the ``n_polished``, once its polished gradient
+    norm is at most its ``grad_tol``. The converged endpoints are
+    canonicalized and grouped coarsely; the first points of the coarse
+    groups are polished as one stack (``newton_refine``), and the groups are
+    re-merged at ``dedup_radius``.
+
+    A start counts toward the class that its converged point clusters into,
+    and that class is judged by ``classify_critical_point`` at its
+    representative, so a start polished next to a saddle counts as a minimum
+    only if its class classifies as one; no start is counted at a class that
+    was not classified. A start that stalls, diverges or runs out of
+    ``cfg.max_iters`` counts toward no class."""
     if n_starts < 1:
         raise DimensionMismatch("n_starts must be >= 1")
     if not dedup_radius > 0:
@@ -97,7 +112,7 @@ def _endpoints(inst, loss, n_starts, seed, cfg=None, dist="gaussian", sigma=1.0,
     X0 = sample_radial_init(
         dist, inst.n, inst.r, seed, sigma=sigma, radius=radius, size=n_starts
     )
-    res = run_batch_chunked(inst, loss, X0, cfg, threads=threads)
+    res = run_batch_chunked(inst, loss, X0, cfg, threads=threads, polish=True)
     converged = res.converged
     canon = canonicalize(res.points[converged])
     coarse = _cluster(canon, COARSE_RADIUS)
@@ -107,7 +122,7 @@ def _endpoints(inst, loss, n_starts, seed, cfg=None, dist="gaussian", sigma=1.0,
     values = objective(inst, loss, reps) if len(reps) else []
     order = sorted(range(len(reps)), key=lambda k: (values[k], reps[k].tobytes()))
     hits = [sum(len(coarse[g]) for g in groups[k]) for k in order]
-    return reps[order], hits, int(np.count_nonzero(converged))
+    return reps[order], hits, int(np.count_nonzero(converged)), int(np.count_nonzero(res.polished))
 
 
 def multistart_census(
@@ -124,7 +139,7 @@ def multistart_census(
 ) -> CensusReport:
     """Run n_starts seeded descents, then classify the representatives that
     the endpoint stage ``_endpoints`` returns, in its order, as one stack."""
-    reps, hits, n_converged = _endpoints(
+    reps, hits, n_converged, n_polished = _endpoints(
         inst, loss, n_starts, seed, cfg, dist, sigma, radius, dedup_radius, threads
     )
     verdicts = classify_critical_point(inst, loss, reps)
@@ -137,6 +152,7 @@ def multistart_census(
         dedup_radius=dedup_radius,
         n_converged=n_converged,
         n_nonconverged=n_starts - n_converged,
+        n_polished=n_polished,
     )
 
 

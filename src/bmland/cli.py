@@ -194,7 +194,8 @@ def _cmd_census(cfg, args, seed, threads):
     spurious = report.spurious_classes
     print(
         f"census: {len(report.classes)} classes ({report.global_classes} global, "
-        f"{spurious} spurious), {report.n_nonconverged} non-converged -> {path}"
+        f"{spurious} spurious), {report.n_polished} polished, "
+        f"{report.n_nonconverged} non-converged -> {path}"
     )
     return 0
 

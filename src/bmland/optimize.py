@@ -12,7 +12,11 @@ several instances over one Omega, each start with its own target and
 tolerances. ``run_batch_chunked`` splits a large stack into chunks and runs
 them in forked worker processes; a chunk's rows are capped so that one
 (rows, n, d) temporary of the kernel, d the width of Omega's row lists, stays
-within a fixed byte budget. Per-sample arithmetic is identical regardless of
+within a fixed byte budget. With ``polish``, each chunk descends in rounds
+(``_descend_in_rounds``): the starts still running after ``HANDOFF_STEPS``,
+then twice as many steps, and so on, are polished by ``newton_refine``
+between rounds, and a start whose polish reaches its ``grad_tol`` ends
+``Converged`` there. Per-sample arithmetic is identical regardless of
 how the stack is chunked or what else it holds, which keeps experiment
 outputs bit-stable under any number of workers.
 
@@ -62,9 +66,15 @@ MIN_CHUNK_ROWS = 128
 REFINE_STEPS = 100
 REFINE_DAMPING = 1e-3
 REFINE_ROUNDOFF = 1e-14
+# First-order steps of a polished descent's first round; each later round
+# takes twice the steps of the one before. Below STALL_LIMIT, so no start
+# stalls before its first polish.
+HANDOFF_STEPS = 300
 
 
 class Status(str, enum.Enum):
+    # The gradient norm reached grad_tol, by descent or, in a polished
+    # descent, by the Newton polish of a start that ran out of a round's steps.
     CONVERGED = "Converged"
     # The value stopped decreasing for STALL_LIMIT steps before grad_tol.
     STALLED = "Stalled"
@@ -161,6 +171,9 @@ class BatchResult:
     grad_norms: np.ndarray
     iters: np.ndarray
     status: np.ndarray
+    # The starts that reached ``Converged`` through the polish of a polished
+    # descent (``run_batch_chunked(..., polish=True)``).
+    polished: np.ndarray
 
     @property
     def converged(self) -> np.ndarray:
@@ -194,7 +207,8 @@ def descend_batch(
     A sample ends ``Converged`` at its ``grad_tol``, ``Diverged`` once an
     accepted step takes it past its bound, ``Stalled`` once its value has not
     decreased for ``STALL_LIMIT`` steps, and ``MaxIters`` when it runs out of
-    iterations; ``iters`` is the number of steps it took.
+    iterations; ``iters`` is the number of steps it took. No sample is
+    ``polished``.
     """
     B = X0.shape[0]
     points = np.empty_like(X0)
@@ -278,7 +292,7 @@ def descend_batch(
     points[idx] = X
     values[idx] = f
     grad_norms[idx] = np.sqrt(_sq_norms(G))
-    return BatchResult(points, values, grad_norms, iters, status)
+    return BatchResult(points, values, grad_norms, iters, status, np.zeros(B, dtype=bool))
 
 
 def _stack(insts, X0):
@@ -364,13 +378,57 @@ def _chunk_bounds(B: int, n: int, d: int, threads: int) -> np.ndarray:
     return np.arange(k + 1) * B // k
 
 
-def _descend_chunk(insts, loss, X0, cfg):
+def _descend_in_rounds(inst: McInstance, loss: LossSpec, X0, cfg: GdConfig) -> BatchResult:
+    """``gradient_descent_batch`` of one instance in rounds of
+    ``HANDOFF_STEPS``, 2 ``HANDOFF_STEPS``, 4 ``HANDOFF_STEPS``, ... steps,
+    the last cut so that ``cfg.max_iters`` steps are spent in all.
+
+    After each round the starts that ran out of its steps are polished as
+    one stack (``newton_refine``, which leaves a point far from critical as
+    it is). A start whose polished gradient norm is at most its ``grad_tol``
+    ends ``Converged`` and ``polished`` at the polished point, with its value
+    and gradient norm there; every other one resumes descent from its
+    descent endpoint in the next round. A start that converges, stalls or
+    diverges in a round keeps that round's result; one still running after
+    the last round ends ``MaxIters``. ``iters`` counts first-order steps
+    only, summed over the rounds."""
+    X0 = _check_shape(inst, X0)
+    B = len(X0)
+    res = BatchResult(
+        X0.copy(), np.empty(B), np.empty(B), np.zeros(B, dtype=int),
+        np.full(B, Status.MAX_ITERS, dtype=object), np.zeros(B, dtype=bool),
+    )
+    grad_tol = cfg.resolved(inst).grad_tol
+    run, spent, steps = np.arange(B), 0, HANDOFF_STEPS
+    while run.size and spent < cfg.max_iters:
+        budget = min(steps, cfg.max_iters - spent)
+        part = gradient_descent_batch(inst, loss, res.points[run], replace(cfg, max_iters=budget))
+        part.iters += res.iters[run]
+        for f in fields(BatchResult):
+            getattr(res, f.name)[run] = getattr(part, f.name)
+        spent, steps = spent + budget, 2 * steps
+        run = run[[s is Status.MAX_ITERS for s in part.status]]
+        if run.size:
+            P = newton_refine(inst, loss, res.points[run])
+            values, G = value_and_gradient(inst, loss, P)
+            gn = np.sqrt(_sq_norms(G))
+            ok = gn <= grad_tol
+            done = run[ok]
+            res.points[done], res.values[done], res.grad_norms[done] = P[ok], values[ok], gn[ok]
+            res.status[done], res.polished[done] = Status.CONVERGED, True
+            run = run[~ok]
+    return res
+
+
+def _descend_chunk(insts, loss, X0, cfg, polish):
     # Submitted to the pool by reference; it looks ``gradient_descent_batch``
     # up in this module's globals, which a forked worker inherits as they are.
+    if polish:
+        return _descend_in_rounds(insts, loss, X0, cfg)
     return gradient_descent_batch(insts, loss, X0, cfg)
 
 
-def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1):
+def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = False):
     """``gradient_descent_batch`` over chunks of the flat start stack, run in
     ``threads`` worker processes.
 
@@ -382,6 +440,9 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1):
     does not depend on its chunk, so outputs are identical for any
     ``threads`` and each start's result is the one its instance would get run
     alone.
+
+    With ``polish``, which takes one instance, each chunk descends in
+    polished rounds (``_descend_in_rounds``) instead of in one run.
 
     One chunk, or ``threads=1``, runs in this process. Otherwise the chunks
     go to a pool of ``min(threads, chunks)`` processes started with ``fork``
@@ -398,12 +459,12 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1):
 
     chunks = [chunk(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if threads <= 1 or len(chunks) == 1:
-        parts = [_descend_chunk(i, loss, x, cfg) for i, x in chunks]
+        parts = [_descend_chunk(i, loss, x, cfg, polish) for i, x in chunks]
     else:
         with ProcessPoolExecutor(
             max_workers=min(threads, len(chunks)), mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            futures = [pool.submit(_descend_chunk, i, loss, x, cfg) for i, x in chunks]
+            futures = [pool.submit(_descend_chunk, i, loss, x, cfg, polish) for i, x in chunks]
             parts = [fut.result() for fut in futures]
     return BatchResult(
         *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(BatchResult))

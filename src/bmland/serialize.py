@@ -119,6 +119,7 @@ def census_report_to_json(report: CensusReport) -> str:
         "dedup_radius": report.dedup_radius,
         "n_converged": report.n_converged,
         "n_nonconverged": report.n_nonconverged,
+        "n_polished": report.n_polished,
         "classes": [
             {
                 "canonical_rep": rec.canonical_rep.tolist(),

@@ -5,6 +5,7 @@ import bmland
 from bmland import Classification, GdConfig, census, optimize
 from bmland.census import CensusReport
 from bmland.errors import DimensionMismatch, MissingS, UnmatchedEndpoint
+from bmland.landscape import canonicalize
 from bmland.serialize import census_report_to_json
 
 import helpers
@@ -183,3 +184,40 @@ def test_equal_probability_unmatched_endpoint():
     inst = helpers.path_instance(3)
     with pytest.raises(UnmatchedEndpoint):
         bmland.equal_probability_test(inst, 50, seed=5, match_tol=1e-13)
+
+
+def test_polished_census_invariant_to_threads_and_chunks(monkeypatch):
+    inst = helpers.star_rank2_instance()
+    cfg = GdConfig(max_iters=3000)
+    one = bmland.multistart_census(inst, L2, 200, seed=5, cfg=cfg, threads=1)
+    assert one.n_polished > 0 and one.n_converged > one.n_polished
+    assert sum(c.hit_count for c in one.classes) == one.n_converged
+    expected = census_report_to_json(one)
+    assert f'"n_polished": {one.n_polished}' in expected
+    for threads in (2, 4):
+        assert census_report_to_json(bmland.multistart_census(
+            inst, L2, 200, seed=5, cfg=cfg, threads=threads)) == expected
+    monkeypatch.setattr(optimize, "CHUNK_ROWS", 16)
+    for threads in (1, 2):
+        assert census_report_to_json(bmland.multistart_census(
+            inst, L2, 200, seed=5, cfg=cfg, threads=threads)) == expected
+
+
+def test_polished_start_lands_in_class_of_its_full_cap_endpoint():
+    inst = helpers.star_rank2_instance()
+    cfg = GdConfig(max_iters=15000)
+    n_starts, seed = 60, 8
+    report = bmland.multistart_census(inst, L2, n_starts, seed=seed, cfg=cfg)
+    reps = np.stack([c.canonical_rep for c in report.classes])
+
+    def classes(points):
+        refined = canonicalize(optimize.newton_refine(inst, L2, canonicalize(points)))
+        dists = np.linalg.norm(refined[:, None] - reps[None], axis=(-2, -1))
+        return np.where(dists.min(axis=1) <= report.dedup_radius, dists.argmin(axis=1), -1)
+
+    X0 = bmland.sample_radial_init("gaussian", inst.n, inst.r, seed, size=n_starts)
+    handoff = optimize.run_batch_chunked(inst, L2, X0, cfg, polish=True)
+    full = optimize.run_batch_chunked(inst, L2, X0, cfg)
+    assert report.n_polished == np.count_nonzero(handoff.polished) > 0
+    assert np.all(handoff.converged[full.converged])
+    assert np.array_equal(classes(handoff.points), classes(full.points))

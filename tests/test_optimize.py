@@ -505,3 +505,40 @@ def test_public_names_resolve():
     for name in bmland.__all__:
         assert getattr(bmland, name) is not None, name
     assert len(set(bmland.__all__)) == len(bmland.__all__)
+
+
+def _star_starts(size, seed):
+    inst = helpers.star_rank2_instance()
+    return inst, bmland.sample_radial_init("gaussian", inst.n, inst.r, seed, size=size)
+
+
+def test_polished_descent_converged_starts_meet_grad_tol():
+    inst, X0 = _star_starts(120, 3)
+    cfg = GdConfig(max_iters=3000)
+    res = run_batch_chunked(inst, L2, X0, cfg, polish=True)
+    conv = res.converged
+    assert res.polished.any() and not (res.polished & ~conv).any()
+    assert np.all(res.grad_norms[conv] <= cfg.resolved(inst).grad_tol)
+    # Each reported gradient norm is the kernel's at the returned point.
+    f, G = bmland.value_and_gradient(inst, L2, res.points[conv])
+    assert np.array_equal(res.grad_norms[conv], np.sqrt(np.einsum("bij,bij->b", G, G)))
+    assert np.array_equal(res.values[conv], f)
+    # A start that converges within the first round keeps its bits.
+    plain = optimize.gradient_descent_batch(inst, L2, X0, GdConfig(max_iters=optimize.HANDOFF_STEPS))
+    early = plain.converged
+    assert early.any() and np.array_equal(res.points[early], plain.points[early])
+    assert np.array_equal(res.iters[early], plain.iters[early])
+
+
+def test_polished_descent_resumes_starts_the_polish_leaves():
+    # No polish reaches a grad_tol below its own 1e-12 (1 + ||M*_Omega||), so
+    # every start still running after a round resumes descent.
+    inst, X0 = _star_starts(40, 4)
+    res = run_batch_chunked(inst, L2, X0, GdConfig(max_iters=1000, grad_tol=1e-20), polish=True)
+    assert not res.polished.any()
+    capped = np.array([s is Status.MAX_ITERS for s in res.status])
+    assert capped.any() and np.all(res.iters[capped] == 1000)
+    assert np.all(res.iters > optimize.HANDOFF_STEPS)
+    # Starts the polish leaves in the first round converge in a later one.
+    res = run_batch_chunked(inst, L2, X0, GdConfig(max_iters=3000), polish=True)
+    assert np.any(res.converged & (res.iters > optimize.HANDOFF_STEPS))
