@@ -119,7 +119,9 @@ class _PairPenalty:
         """One damped Gauss-Newton solve of every pair, to a gradient of
         ``grad_tol`` max(w0, rho, rho_sep), in at most ``iters`` steps."""
         tol = grad_tol * max(self.w0, self.rho, self.rho_sep)
-        return _damped_newton(self.value_and_grad, self.curvature, Z, tol, iters)
+        return _damped_newton(
+            self.value_and_grad, self.curvature, Z, self.value_and_grad(Z), tol, iters
+        )[0]
 
 
 def estimate_complexity_metric(

@@ -23,8 +23,12 @@ outputs bit-stable under any number of workers.
 ``_damped_newton`` is the one second-order loop, over a stack, from a
 curvature callable: ``newton_refine`` runs it on Hessians (saddle-free
 Newton), the metric on the 2 J^T J of its pair penalty (Levenberg-Marquardt).
-``classify_critical_point`` judges a stack. Curvatures are taken in chunks of
-at most ``CHUNK_BUDGET_BYTES``, each with one batched ``eigh``.
+It decomposes a sample's curvature only when the sample has moved, on its
+first step and after an accepted one, and reuses the eigenpairs across its
+rejected steps. Its samples run in blocks whose eigenvectors take at most
+``CHUNK_BUDGET_BYTES``. ``classify_critical_point`` judges a stack, its
+curvatures taken in chunks of at most ``CHUNK_BUDGET_BYTES``, each with one
+batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -409,9 +413,7 @@ def _descend_in_rounds(inst: McInstance, loss: LossSpec, X0, cfg: GdConfig) -> B
         spent, steps = spent + budget, 2 * steps
         run = run[[s is Status.MAX_ITERS for s in part.status]]
         if run.size:
-            P = newton_refine(inst, loss, res.points[run])
-            values, G = value_and_gradient(inst, loss, P)
-            gn = np.sqrt(_sq_norms(G))
+            P, values, gn = _polish(inst, loss, res.points[run])
             ok = gn <= grad_tol
             done = run[ok]
             res.points[done], res.values[done], res.grad_norms[done] = P[ok], values[ok], gn[ok]
@@ -448,6 +450,8 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = 
     go to a pool of ``min(threads, chunks)`` processes started with ``fork``
     (Linux and macOS), and an error raised in a worker is raised here."""
     insts, X0, group = _stack(insts, X0)
+    if polish and len(insts) > 1:
+        raise DimensionMismatch(f"polish takes one instance, got {len(insts)}")
     bounds = _chunk_bounds(len(X0), X0.shape[1], insts[0].omega.cols.shape[1], threads)
 
     def chunk(lo, hi):
@@ -471,57 +475,88 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = 
     )
 
 
-def _curvature_chunks(curvature, X: np.ndarray):
-    """(slice, curvatures) over consecutive chunks of a (K, ...) stack, cut so
-    that one chunk's (rows, N, N) matrices, N = X[0].size, take at most
-    ``CHUNK_BUDGET_BYTES``."""
-    N = int(np.prod(X.shape[1:]))
+def _curvature_chunks(K: int, N: int):
+    """Slices of consecutive chunks of a K-row stack, cut so that one chunk's
+    (rows, N, N) matrices take at most ``CHUNK_BUDGET_BYTES``."""
     rows = max(1, CHUNK_BUDGET_BYTES // (8 * N**2))
-    for lo in range(0, len(X), rows):
-        yield slice(lo, lo + rows), curvature(X[lo : lo + rows])
+    return [slice(lo, lo + rows) for lo in range(0, K, rows)]
 
 
-def _damped_newton(value_and_grad, curvature, X: np.ndarray, tol, max_steps: int) -> np.ndarray:
+def _damped_newton(value_and_grad, curvature, X: np.ndarray, start, tol, max_steps: int):
     """Damped second-order steps on a (K, ...) stack, each sample until its
     gradient norm is at most its ``tol`` (a scalar or (K,)), in at most
-    ``max_steps`` steps. ``value_and_grad`` and ``curvature`` map a (k, ...)
-    stack to its values and gradients, and to (k, N, N) symmetric curvatures.
+    ``max_steps`` steps. ``start`` is ``value_and_grad(X)``; ``value_and_grad``
+    and ``curvature`` map a (k, ...) stack to its values and gradients, and to
+    (k, N, N) symmetric curvatures. Returns the points with their values and
+    gradient norms.
 
-    A step is s = -V (|L| + mu max|L|)^-1 V^T g, from one batched ``eigh`` of
-    the curvatures H = V L V^T: saddle-free Newton on Hessians (Dauphin et al.
+    A step is s = -V (|L| + mu max|L|)^-1 V^T g, from the ``eigh`` of the
+    curvature H = V L V^T: saddle-free Newton on Hessians (Dauphin et al.
     2014), Levenberg-Marquardt on the PSD 2 J^T J of a least-squares problem.
     It is accepted when f does not rise beyond roundoff and f or the gradient
     norm falls; the sample's damping mu is then divided by 10, and otherwise
-    multiplied by 10. A sample's result does not depend on the rest of the
-    stack."""
-    X = X.copy()
-    f, G = value_and_grad(X)
+    multiplied by 10. A sample keeps its |L| and V until a step moves it: each
+    step takes curvatures, in one batched ``eigh``, only of the samples on
+    their first step or just past an accepted one. The samples that take steps
+    run in consecutive blocks, one after another, of at most
+    ``CHUNK_BUDGET_BYTES`` of (N, N) eigenvectors. A sample's result does not
+    depend on the rest of the stack."""
+    f, G = start
+    X, f = X.copy(), f.copy()
     gn = np.sqrt(_sq_norms(G))
     tol = np.broadcast_to(tol, gn.shape)
-    mu = np.full(len(X), REFINE_DAMPING)
-    run = np.nonzero(gn > tol)[0]
-    for _ in range(max_steps):
-        if not run.size:
-            break
-        Xr = X[run]
-        steps = np.empty((len(run), Xr[0].size))
-        for sl, H in _curvature_chunks(curvature, Xr):
-            lam, V = np.linalg.eigh(H)
-            lam = np.abs(lam)
-            lam += mu[run[sl], None] * lam.max(axis=-1, keepdims=True)
-            coef = (G[run[sl]].reshape(-1, 1, H.shape[-1]) @ V)[:, 0]
+    N = int(np.prod(X.shape[1:]))
+    active = np.nonzero(gn > tol)[0]
+    for chunk in _curvature_chunks(len(active), N):
+        ids = active[chunk]
+        Xb, fb, Gb, gb, tb = X[ids], f[ids], G[ids], gn[ids], tol[ids]
+        mu = np.full(len(ids), REFINE_DAMPING)
+        # Each sample's |L| and V, valid unless the sample is stale.
+        absl, V = np.empty((len(ids), N)), np.empty((len(ids), N, N))
+        stale = np.ones(len(ids), dtype=bool)
+        run = np.arange(len(ids))
+        for _ in range(max_steps):
+            if not run.size:
+                break
+            new = run[stale[run]]
+            if new.size:
+                lam, V[new] = np.linalg.eigh(curvature(Xb[new]))
+                absl[new], stale[new] = np.abs(lam), False
+            lam, Vr = absl[run], V[run]
+            lam += mu[run, None] * lam.max(axis=-1, keepdims=True)
+            coef = (Gb[run].reshape(-1, 1, N) @ Vr)[:, 0]
             # A zero curvature gives no step.
             coef = np.divide(coef, lam, out=np.zeros_like(coef), where=lam > 0)
-            steps[sl] = (V @ coef[..., None])[..., 0]
-        Xr -= steps.reshape(Xr.shape)
-        fr, Gr = value_and_grad(Xr)
-        gr = np.sqrt(_sq_norms(Gr))
-        ok = (fr <= f[run] + REFINE_ROUNDOFF * f[run]) & ((fr < f[run]) | (gr < gn[run]))
-        done = run[ok]
-        X[done], f[done], G[done], gn[done] = Xr[ok], fr[ok], Gr[ok], gr[ok]
-        mu[run] *= np.where(ok, 0.1, 10.0)
-        run = run[gn[run] > tol[run]]
-    return X
+            Xr = Xb[run]
+            Xr -= (Vr @ coef[..., None])[..., 0].reshape(Xr.shape)
+            fr, Gr = value_and_grad(Xr)
+            gr = np.sqrt(_sq_norms(Gr))
+            ok = (fr <= fb[run] + REFINE_ROUNDOFF * fb[run]) & ((fr < fb[run]) | (gr < gb[run]))
+            done = run[ok]
+            Xb[done], fb[done], Gb[done], gb[done] = Xr[ok], fr[ok], Gr[ok], gr[ok]
+            stale[done] = True
+            mu[run] *= np.where(ok, 0.1, 10.0)
+            run = run[gb[run] > tb[run]]
+        X[ids], f[ids], gn[ids] = Xb, fb, gb
+    return X, f, gn
+
+
+def _polish(inst: McInstance, loss: LossSpec, X: np.ndarray, single: bool = False):
+    """``newton_refine`` of a (K, n, r) stack: the points, and the kernel's
+    values and gradient norms there. With ``single``, a first point far from
+    critical raises ``NotNearCritical``."""
+    scale = 1.0 + inst.omega_scale()
+    coarse_tol = 1e-3 * scale
+    start = value_and_gradient(inst, loss, X)
+    gn = np.sqrt(_sq_norms(start[1]))
+    if single and not gn[0] <= coarse_tol:
+        raise NotNearCritical(f"gradient norm {gn[0]:.3e} above {coarse_tol:.3e}")
+    # A point far from critical gets an infinite tolerance: it takes no step.
+    tol = np.where(gn <= coarse_tol, 1e-12 * scale, np.inf)
+    return _damped_newton(
+        partial(value_and_gradient, inst, loss), partial(dense_hessian, inst, loss), X, start,
+        tol, REFINE_STEPS,
+    )
 
 
 def newton_refine(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray:
@@ -531,19 +566,10 @@ def newton_refine(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray
     whose gradient norm is above 1e-3 (1 + ||M*_Omega||) is not near a
     critical point: alone it raises ``NotNearCritical``, in a stack it is
     returned as it is."""
-    scale = 1.0 + inst.omega_scale()
-    coarse_tol = 1e-3 * scale
     X = _check_shape(inst, X)
     single = X.ndim == 2
-    X = X[None] if single else X
-    gn = np.sqrt(_sq_norms(value_and_gradient(inst, loss, X)[1]))
-    if single and not gn[0] <= coarse_tol:
-        raise NotNearCritical(f"gradient norm {gn[0]:.3e} above {coarse_tol:.3e}")
-    # A point far from critical gets an infinite tolerance: it takes no step.
-    tol = np.where(gn <= coarse_tol, 1e-12 * scale, np.inf)
-    hessians = partial(dense_hessian, inst, loss)
-    X = _damped_newton(partial(value_and_gradient, inst, loss), hessians, X, tol, REFINE_STEPS)
-    return X[0] if single else X
+    P = _polish(inst, loss, X[None] if single else X, single)[0]
+    return P[0] if single else P
 
 
 _VERDICTS = (
@@ -581,7 +607,8 @@ def classify_critical_point(inst: McInstance, loss: LossSpec, X: np.ndarray):
     f, G = value_and_gradient(inst, loss, X)
     gn = np.sqrt(_sq_norms(G))
     lam_min, eig_tol = np.empty(len(X)), np.empty(len(X))
-    for sl, H in _curvature_chunks(partial(dense_hessian, inst, loss), X):
+    for sl in _curvature_chunks(len(X), inst.n * inst.r):
+        H = dense_hessian(inst, loss, X[sl])
         lam_min[sl] = _min_eigen(H, inst.n, inst.r, "lower_triangular_tangent")[0]
         eig_tol[sl] = 1e-7 * np.maximum(1.0, np.abs(np.trace(H, axis1=-2, axis2=-1)) / H.shape[-1])
     global_tol = 1e-8 * max(inst.omega_scale() ** 2, 1.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,65 @@ def test_newton_refine_matches_reference_loop(inst):
         refined = bmland.newton_refine(inst, loss, X)
         assert not np.array_equal(refined, X)
         assert np.array_equal(refined, np.stack([_reference_refine(inst, loss, x) for x in X]))
+
+
+def _counting(rows, fn):
+    """``fn(inst, loss, x)`` that appends the points it is given to ``rows``."""
+    def wrapped(inst, loss, x):
+        rows.extend(np.array(x, ndmin=3))
+        return fn(inst, loss, x)
+    return wrapped
+
+
+def test_newton_refine_decomposes_a_point_only_once_it_has_moved(monkeypatch):
+    inst = helpers.star_rank2_instance()
+    X = _coarse_endpoints(inst, 12, 4, 2000)
+    # The reference takes a Hessian at every step. A rejected step leaves its
+    # point as it is, so the step after it needs none: only the first step
+    # and the steps after an accepted one do.
+    steps = decompositions = 0
+    for x in X:
+        seen = []
+        monkeypatch.setattr(bmland, "dense_hessian", _counting(seen, optimize.dense_hessian))
+        _reference_refine(inst, L2, x)
+        monkeypatch.undo()
+        steps += len(seen)
+        decompositions += sum(
+            i == 0 or not np.array_equal(a, seen[i - 1]) for i, a in enumerate(seen)
+        )
+    rows = []
+    monkeypatch.setattr(optimize, "dense_hessian", _counting(rows, optimize.dense_hessian))
+    refined = bmland.newton_refine(inst, L2, X)
+    assert np.array_equal(refined, np.stack([_reference_refine(inst, L2, x) for x in X]))
+    assert len(rows) == decompositions < steps
+
+
+def test_newton_refine_memory_bounded_by_chunk_budget(monkeypatch):
+    inst = helpers.star_rank2_instance()
+    X = _coarse_endpoints(inst, 40, 3, 3000)
+    assert len(X) >= 30
+    refined = bmland.newton_refine(inst, L2, X)
+    N = inst.n * inst.r
+    budget = 3 * 8 * N**2  # three Hessians: the steps run on blocks of three points
+    monkeypatch.setattr(optimize, "CHUNK_BUDGET_BYTES", budget)
+    bmland.newton_refine(inst, L2, X)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        assert np.array_equal(bmland.newton_refine(inst, L2, X), refined)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The Hessians' temporaries take about six times the Hessians, and the
+    # kernel's about eight times the stack it is given. Holding every
+    # point's eigenvectors at once would take about 600 kB here.
+    assert peak < 10 * budget + 10 * X.nbytes
+
+
+def test_polished_descent_takes_one_instance():
+    insts = [helpers.path_instance(4), helpers.path_instance(4, gamma=0.05, seed=1)]
+    X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=8)
+    with pytest.raises(DimensionMismatch, match="polish takes one instance"):
+        run_batch_chunked(insts, L2, [X0, X0], GdConfig(max_iters=400), polish=True)
 
 
 def test_newton_refine_polishes_cross_pattern_endpoints():
