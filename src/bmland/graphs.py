@@ -9,6 +9,7 @@ explicitly.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -92,6 +93,30 @@ class BlockSparsityGraph:
         )
 
 
+class StepBuffers:
+    """Flat float buffers, one per name, that the row-list kernel writes its
+    per-step arrays into, so that a descent reuses its pages from step to
+    step instead of drawing fresh ones. ``take(name, shape)`` views the
+    buffer as a contiguous array of ``shape``, growing it first if it is too
+    small; the view holds whatever the buffer's last user left there."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+        # The last view of each buffer: a descent asks for the same shapes
+        # until its working set shrinks, and this runs several times a step.
+        self._views: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        view = self._views.get(name)
+        if view is None or view.shape != shape:
+            size = math.prod(shape)
+            flat = self._flat.get(name)
+            if flat is None or flat.size < size:
+                flat = self._flat[name] = np.empty(size)
+            view = self._views[name] = flat[:size].reshape(shape)
+        return view
+
+
 class MeasurementSet:
     """Symmetric set of observed entries of an n x n matrix, held as a
     read-only 0/1 mask; ``entries`` lists them 1-based.
@@ -170,18 +195,29 @@ class MeasurementSet:
         P *= self._mask
         return P
 
-    def row_products(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def row_products(
+        self, X: np.ndarray, bufs: StepBuffers | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The products X_i . X_cols[i, k] of a (b, n, r) stack on the
         padded row lists, batch-last: the gathered rows Xg, (n, d, r, b),
         and the products, (n, d, b), with the rank summed in order and 0 on
-        padding entries."""
+        padding entries. Both are views of ``bufs``, fresh buffers when it
+        is None, and hold until its next use."""
+        bufs = StepBuffers() if bufs is None else bufs
         b, n, r = X.shape
-        Xt = np.zeros((n + 1, r, b))
+        d = self.cols.shape[1]
+        # Xt[:n] is overwritten whole; only the padding row is zeroed.
+        Xt = bufs.take("Xt", (n + 1, r, b))
+        Xt[n] = 0.0
         Xt[:n] = X.transpose(1, 2, 0)
-        Xg = Xt[self.cols]
-        P = Xt[:n, None, 0] * Xg[:, :, 0]
-        for a in range(1, r):
-            P += Xt[:n, None, a] * Xg[:, :, a]
+        # Every index is in range, so "clip" gathers exactly, and unlike the
+        # default "raise" it writes straight into ``out``.
+        Xg = Xt.take(self.cols, axis=0, out=bufs.take("Xg", (n, d, r, b)), mode="clip")
+        P = np.multiply(Xt[:n, None, 0], Xg[:, :, 0], out=bufs.take("R", (n, d, b)))
+        if r > 1:
+            term = bufs.take("term", (n, d, b))
+            for a in range(1, r):
+                P += np.multiply(Xt[:n, None, a], Xg[:, :, a], out=term)
         return Xg, P
 
     @property

@@ -21,7 +21,11 @@ zero. It broadcasts over leading batch axes, so a stack of factors of shape
 ``restriction_map`` and ``canonicalize``. Its arithmetic lives in
 ``_value_and_gradient``, which also takes a stack of per-point targets, so
 one descent can carry the starts of several instances over one Omega. Each
-point's result has the same bits whatever stack it is part of.
+point's result has the same bits whatever stack it is part of. On the row
+lists the kernel writes its large per-step arrays (padded rows, gathered
+rows, residual, squared residual) into a caller's ``StepBuffers``, or into
+its own when given none; one descent call passes one set to every step, so
+the kernel reuses the same pages from step to step.
 ``masked_residual`` and the Hessian routines work on the dense mask;
 ``dense_hessian`` and ``min_hessian_eigen`` take a point or a stack, and a
 point's Hessian has the same bits alone as in a stack.
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graphs import MeasurementSet
+from .graphs import MeasurementSet, StepBuffers
 from .instances import McInstance
 
 SIGN_TOL = 1e-9
@@ -96,18 +100,22 @@ def value_and_gradient(inst: McInstance, loss: LossSpec, X: np.ndarray):
     return _value_and_gradient(inst.omega, inst.observed_targets(), loss, X)
 
 
-def _value_and_gradient(omega: MeasurementSet, target: np.ndarray, loss: LossSpec, X: np.ndarray):
+def _value_and_gradient(
+    omega: MeasurementSet, target: np.ndarray, loss: LossSpec, X: np.ndarray,
+    bufs: StepBuffers | None = None,
+):
     """``value_and_gradient`` of a checked (..., n, r) stack against observed
     targets in ``omega``'s (n, d) row-list layout: one (n, d) target for
     every point, or a (..., n, d) stack of per-point targets over the same
     Omega. A point's bits do not depend on which of the two forms carries its
-    target, nor on the rest of the stack."""
+    target, nor on the rest of the stack. ``bufs`` goes to the row-list
+    kernel (``_row_list_terms``)."""
     if omega.dense:
         R = _residual(omega, target, X)
         val = np.einsum("...ij,...ij->...", R, R)
         G = R @ X
     else:
-        val, G = _row_list_terms(omega, target, X)
+        val, G = _row_list_terms(omega, target, X, bufs)
     G *= 4.0
     if loss.regularized:
         t = np.linalg.norm(X, axis=-1)
@@ -118,7 +126,9 @@ def _value_and_gradient(omega: MeasurementSet, target: np.ndarray, loss: LossSpe
     return (float(val) if val.ndim == 0 else val), G
 
 
-def _row_list_terms(omega: MeasurementSet, target: np.ndarray, X: np.ndarray):
+def _row_list_terms(
+    omega: MeasurementSet, target: np.ndarray, X: np.ndarray, bufs: StepBuffers | None = None
+):
     """sum(R^2) and sum_k R[i, k] X_cols[i, k] of the residual on Omega's
     padded row lists, R[i, k] = X_i . X_cols[i, k] - target[i, k], in
     O(n d r) per point.
@@ -127,9 +137,15 @@ def _row_list_terms(omega: MeasurementSet, target: np.ndarray, X: np.ndarray):
     operation sweeps the stack in long loops even when n and d are small.
     Each entry of R and of the gradient is an elementwise sum in a fixed
     order, and the value a pairwise sum over one point's contiguous row of
-    R^2, so a point's bits do not depend on the stack around it."""
+    R^2, so a point's bits do not depend on the stack around it.
+
+    The padded rows, the gathered rows, the residual and its squares are
+    views of ``bufs`` (``StepBuffers``), so a caller that passes one set to
+    every call, as a descent does, reuses their pages; without it the call
+    makes its own. The value and gradient come back as fresh arrays."""
+    bufs = StepBuffers() if bufs is None else bufs
     lead, (n, r), d = X.shape[:-2], X.shape[-2:], omega.cols.shape[1]
-    Xg, R = omega.row_products(X.reshape(-1, n, r))
+    Xg, R = omega.row_products(X.reshape(-1, n, r), bufs)
     b = R.shape[-1]
     R -= target[..., None] if target.ndim == 2 else target.reshape(b, n, d).transpose(1, 2, 0)
     if d:
@@ -139,7 +155,7 @@ def _row_list_terms(omega: MeasurementSet, target: np.ndarray, X: np.ndarray):
         G = _halving_sum(Xg.transpose(1, 0, 2, 3)).transpose(2, 0, 1).copy()
     else:
         G = np.zeros((b, n, r))
-    sq = np.empty((b, n, d))
+    sq = bufs.take("sq", (b, n, d))
     np.square(R.transpose(2, 0, 1), out=sq)
     val = sq.reshape(b, n * d).sum(axis=-1)
     return val.reshape(lead), G.reshape(lead + (n, r))

@@ -9,16 +9,18 @@ samples still running; the loop keeps its per-sample counters as iteration
 stamps, so that a step writes only the counters it resets, and a rejected
 step copies back only the rejected rows. One stack may hold the starts of
 several instances over one Omega, each start with its own target and
-tolerances. ``run_batch_chunked`` splits a large stack into chunks and runs
-them in forked worker processes; a chunk's rows are capped so that one
-(rows, n, d) temporary of the kernel, d the width of Omega's row lists, stays
-within a fixed byte budget. With ``polish``, each chunk descends in rounds
-(``_descend_in_rounds``): the starts still running after ``HANDOFF_STEPS``,
-then twice as many steps, and so on, are polished by ``newton_refine``
-between rounds, and a start whose polish reaches its ``grad_tol`` ends
-``Converged`` there. Per-sample arithmetic is identical regardless of
-how the stack is chunked or what else it holds, which keeps experiment
-outputs bit-stable under any number of workers.
+tolerances. One ``gradient_descent_batch`` call owns the kernel's step
+buffers (``StepBuffers``) and reuses them every step, so a descent does not
+draw fresh pages per step. ``run_batch_chunked`` splits a large stack into
+chunks and runs them in forked worker processes; a chunk's rows are capped
+so that one (rows, n, d) temporary of the kernel, d the width of Omega's row
+lists, stays within a fixed byte budget. With ``polish``, each chunk descends
+in rounds (``_descend_in_rounds``): the starts still running after
+``HANDOFF_STEPS``, then twice as many steps, and so on, are polished by
+``newton_refine`` between rounds, and a start whose polish reaches its
+``grad_tol`` ends ``Converged`` there. Per-sample arithmetic is identical
+regardless of how the stack is chunked or what else it holds, which keeps
+experiment outputs bit-stable under any number of workers.
 
 ``_damped_newton`` is the one second-order loop, over a stack, from a
 curvature callable: ``newton_refine`` runs it on Hessians (saddle-free
@@ -42,6 +44,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, NotNearCritical
+from .graphs import StepBuffers
 from .instances import McInstance
 from .landscape import (
     LossSpec,
@@ -332,7 +335,9 @@ def gradient_descent_batch(insts, loss: LossSpec, X0, cfg: GdConfig) -> BatchRes
     Each start takes its target, auto step, ``grad_tol`` and divergence bound
     from its own instance (``cfg.resolved``); the targets are kept as one
     (G, n, d) stack, in Omega's row-list layout, that the kernel gathers
-    from by instance index."""
+    from by instance index. The call owns one ``StepBuffers`` that every
+    step's kernel call and target gather write into, so the descent reuses
+    the same pages from step to step."""
     insts, X0, group = _stack(insts, X0)
     cfgs = [cfg.resolved(inst) for inst in insts]
     if cfg.step is not None:
@@ -341,11 +346,17 @@ def gradient_descent_batch(insts, loss: LossSpec, X0, cfg: GdConfig) -> BatchRes
         steps0 = _auto_steps(np.array([inst.omega_scale() for inst in insts])[group], X0)
     omega = insts[0].omega
     targets = np.stack([inst.observed_targets() for inst in insts])
+    bufs = StepBuffers()
 
     def value_and_grad(X, idx):
-        # One instance broadcasts its target; only a mixed stack gathers.
-        target = targets[0] if len(targets) == 1 else targets[group[idx]]
-        return _value_and_gradient(omega, target, loss, X)
+        # One instance broadcasts its target; only a mixed stack gathers,
+        # into a buffer like the kernel's own ("clip" is exact: every index
+        # is in range).
+        target = targets[0]
+        if len(targets) > 1:
+            out = bufs.take("target", (len(idx),) + target.shape)
+            target = targets.take(group[idx], axis=0, out=out, mode="clip")
+        return _value_and_gradient(omega, target, loss, X, bufs)
 
     return descend_batch(
         value_and_grad, X0, steps0, cfg.max_iters,

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -178,6 +183,21 @@ def test_equal_probability_report_and_determinism():
     assert a.histogram == b.histogram and a.chi_square_p == b.chi_square_p
     assert len(a.histogram) == 4 and sum(a.histogram.values()) == 2000
     assert min(a.histogram.values()) > 0
+    from scipy import stats
+
+    counts = [a.histogram[k] for k in sorted(a.histogram)]
+    assert a.chi_square_p == stats.chisquare(counts)[1]
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported by the basin chi-square test only, on first use.
+    src = str(Path(bmland.__file__).resolve().parents[1])
+    code = "import sys, bmland; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_equal_probability_unmatched_endpoint():

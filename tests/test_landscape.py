@@ -197,6 +197,30 @@ def test_kernel_point_bits_independent_of_stack(name, r):
     _assert_close(*mixed, np.array([v for v, _ in refs]), np.stack([G for _, G in refs]))
 
 
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("name", ["path-sparse", "er-sparse"])
+def test_kernel_step_buffers_reuse(name, r):
+    # One buffer set through a working set that keeps its size, shrinks, then
+    # grows past its first size, as a single-target and as a mixed-target stack.
+    from bmland.graphs import StepBuffers
+    from bmland.landscape import _value_and_gradient
+
+    inst, _ = _pattern(name, r)
+    other = bmland.assemble_instance(2.0 * inst.x_star, inst.omega, inst.graph)
+    targets = np.stack([inst.observed_targets(), other.observed_targets()])
+    X = np.random.default_rng(4).standard_normal((40, inst.n, inst.r))
+    for mixed in (False, True):
+        bufs, kept = StepBuffers(), []
+        for b in (24, 24, 17, 5, 1, 9, 40, 40):
+            target = targets[np.arange(b) % 2] if mixed else targets[0]
+            out = _value_and_gradient(inst.omega, target, L2, X[:b], bufs)
+            fresh = _value_and_gradient(inst.omega, target, L2, X[:b])
+            assert np.array_equal(out[0], fresh[0]) and np.array_equal(out[1], fresh[1])
+            kept.append((out, tuple(a.copy() for a in out)))
+        for out, copies in kept:
+            assert all(np.array_equal(a, c) for a, c in zip(out, copies))
+
+
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("n", [8, 12, 20])
 def test_dense_product_bits_at_awkward_sizes(n, r):
