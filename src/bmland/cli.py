@@ -49,7 +49,6 @@ from .serialize import (
     atomic_write_text,
     census_report_to_json,
     emit_plot_data,
-    instance_to_json,
     load_instance,
     metric_estimate_to_json,
     save_factor,

@@ -25,13 +25,6 @@ class CompletionResult:
     operations_estimate: int
 
 
-def _observed_block(inst: McInstance, i: int, j: int) -> np.ndarray:
-    """Full observed block M*_{i,j} (i, j 1-based block indices)."""
-    r = inst.r
-    M = inst.m_star()
-    return M[(i - 1) * r : i * r, (j - 1) * r : j * r]
-
-
 def _checked(block: np.ndarray, what: str) -> np.ndarray:
     svals = np.linalg.svd(block, compute_uv=False)
     if svals.min() <= SINGULAR_REL_TOL * max(svals.max(), 1e-300):
@@ -53,6 +46,11 @@ def solve_by_propagation(inst: McInstance) -> CompletionResult:
         raise NoOddCycle("G1 is bipartite; no odd cycle exists")
     cycle = analysis.odd_cycle
     ops = g.m * g.m  # BFS / bookkeeping scale
+    M = inst.m_star()
+
+    def block(i: int, j: int) -> np.ndarray:
+        """Observed block M*_{i,j} (1-based block indices), checked full rank."""
+        return _checked(M[(i - 1) * r : i * r, (j - 1) * r : j * r], f"block ({i},{j})")
 
     # Chain the odd cycle c1..c_{2k+1}: the product
     # [prod_i M_{c(2i-1),c(2i)} M_{c(2i),c(2i+1)}^{-T}] M_{c(2k+1),c1}
@@ -62,15 +60,11 @@ def solve_by_propagation(inst: McInstance) -> CompletionResult:
     k = (len(cycle) - 1) // 2
     for i in range(k):
         a, b, c = cycle[2 * i], cycle[2 * i + 1], cycle[2 * i + 2]
-        mab = _checked(_observed_block(inst, a, b), f"block ({a},{b})")
-        mbc = _checked(_observed_block(inst, b, c), f"block ({b},{c})")
+        mab, mbc = block(a, b), block(b, c)
         # mab @ mbc^{-T} via a pivoted solve on mbc^T
         prod = prod @ np.linalg.solve(mbc, mab.T).T
         ops += 2 * r**3
-    closing = _checked(
-        _observed_block(inst, cycle[-1], anchor), f"block ({cycle[-1]},{anchor})"
-    )
-    gram = prod @ closing
+    gram = prod @ block(cycle[-1], anchor)
     gram = 0.5 * (gram + gram.T)
     _checked(gram, "chained anchor Gram matrix")
     try:
@@ -89,8 +83,7 @@ def solve_by_propagation(inst: McInstance) -> CompletionResult:
         for j in adj[i]:
             if j in blocks:
                 continue
-            mji = _checked(_observed_block(inst, j, i), f"block ({j},{i})")
-            blocks[j] = np.linalg.solve(xi, mji.T).T
+            blocks[j] = np.linalg.solve(xi, block(j, i).T).T
             ops += r**3
             queue.append(j)
     if len(blocks) != m:
@@ -101,7 +94,7 @@ def solve_by_propagation(inst: McInstance) -> CompletionResult:
         x_hat[(i - 1) * r : i * r, :] = blocks[i]
     if n > m * r:
         # Trailing rows are fully observed: solve against the anchor block.
-        tail = inst.m_star()[m * r :, (anchor - 1) * r : anchor * r]
+        tail = M[m * r :, (anchor - 1) * r : anchor * r]
         x_hat[m * r :, :] = np.linalg.solve(anchor_factor, tail.T).T
         ops += (n - m * r) * r * r
     return CompletionResult(recovered_factor=x_hat, operations_estimate=ops)

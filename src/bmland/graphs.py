@@ -10,8 +10,7 @@ explicitly.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,12 +69,7 @@ class BlockSparsityGraph:
 
     def adjacency(self) -> dict:
         """Neighbor lists over e1, self-loops excluded."""
-        adj = {v: [] for v in range(1, self.m + 1)}
-        for (i, j) in sorted(self.e1):
-            if i != j:
-                adj[i].append(j)
-                adj[j].append(i)
-        return adj
+        return _neighbors(self.e1, self.m)
 
     def to_json(self) -> dict:
         return {
@@ -271,19 +265,14 @@ def build_named_pattern(name: str, **params) -> BlockSparsityGraph:
         m = _require_int(params, "m", minimum=3)
         e1 = {(i, j) for i in range(1, m + 1) for j in range(i, m + 1)} - {(1, 2)}
         return BlockSparsityGraph(m, frozenset(e1), frozenset({(1, 2)}))
-    if name == "cross":
+    if name in ("cross", "augmented_cross"):
         m = _require_int(params, "m", minimum=2)
         k = _require_int(params, "k", minimum=1)
         if k > m:
             raise InvalidParams(f"k={k} not in [1,{m}]")
         e1 = {_norm(k, j) for j in range(1, m + 1)}
-        return BlockSparsityGraph(m, frozenset(e1), frozenset())
-    if name == "augmented_cross":
-        m = _require_int(params, "m", minimum=2)
-        k = _require_int(params, "k", minimum=1)
-        if k > m:
-            raise InvalidParams(f"k={k} not in [1,{m}]")
-        e1 = {_norm(k, j) for j in range(1, m + 1)}
+        if name == "cross":
+            return BlockSparsityGraph(m, frozenset(e1), frozenset())
         e1 |= {(i, i) for i in range(1, m + 1)}
         # The induced measurement set needs disjoint edge sets; off-diagonal
         # pairs already observed in full via e1 are dropped from e2.
@@ -350,14 +339,13 @@ def build_erdos_renyi(m: int, p: float, target_S, seed: int) -> BlockSparsityGra
     # Every S vertex carries a self-loop.
     e1 |= {(v, v) for v in sorted(S)}
     # Maximality: every vertex outside S must see S.
-    adj = _adj(e1, m)
+    adj = _neighbors(e1, m)
     s_min = min(S)
     for v in range(1, m + 1):
         if v not in S and not any(u in S for u in adj[v]):
             e1.add(_norm(v, s_min))
     # Connectivity: attach stray components through non-S vertices.
-    adj = _adj(e1, m)
-    comps = _components(adj, m)
+    comps, _ = _two_color(_neighbors(e1, m))
     main = comps[0]
     anchor = min(v for v in range(1, m + 1) if v not in S)
     for comp in comps[1:]:
@@ -373,86 +361,66 @@ def build_erdos_renyi(m: int, p: float, target_S, seed: int) -> BlockSparsityGra
     return BlockSparsityGraph(m, frozenset(e1), e2)
 
 
-def _adj(e1, m):
-    adj = {v: set() for v in range(1, m + 1)}
+def _neighbors(e1, m: int) -> dict:
+    """Sorted neighbor lists of vertices 1..m over e1, self-loops excluded."""
+    adj = {v: [] for v in range(1, m + 1)}
     for (i, j) in e1:
         if i != j:
-            adj[i].add(j)
-            adj[j].add(i)
+            adj[i].append(j)
+            adj[j].append(i)
+    for nbrs in adj.values():
+        nbrs.sort()
     return adj
 
 
-def _components(adj, m):
-    seen = set()
-    comps = []
-    for start in range(1, m + 1):
-        if start in seen:
+def _two_color(adj: dict) -> tuple[list, tuple | None]:
+    """One breadth-first 2-coloring of a graph given by sorted neighbor
+    lists, started from each unseen vertex in increasing order: its
+    components, in that order, and the odd cycle closed by the first edge
+    whose ends share a color (None when the graph is bipartite)."""
+    color, parent = {}, {}
+    comps, odd_cycle = [], None
+    for start in adj:
+        if start in color:
             continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
+        color[start], parent[start] = 0, None
+        # The walk appends to the list it iterates over: a FIFO queue.
+        queue = [start]
+        for v in queue:
             for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    comp.add(u)
+                if u not in color:
+                    color[u] = 1 - color[v]
+                    parent[u] = v
                     queue.append(u)
-        comps.append(comp)
-    return comps
+                elif odd_cycle is None and color[u] == color[v]:
+                    odd_cycle = _cycle_from_conflict(v, u, parent)
+        comps.append(set(queue))
+    return comps, odd_cycle
 
 
 def analyze_graph(g: BlockSparsityGraph) -> GraphAnalysis:
     """Connectivity, bipartiteness witness, and a greedy maximal independent
     set preferring self-loop vertices in ascending index order."""
     adj = g.adjacency()
-    comps = _components({v: set(a) for v, a in adj.items()}, g.m)
-    connected = len(comps) == 1
-
-    odd_cycle = _find_odd_cycle(g, adj)
-    nonbipartite = odd_cycle is not None
-
+    comps, odd_cycle = _two_color(adj)
     loops = g.self_loops()
-    mis = []
+    if loops:
+        odd_cycle = (min(loops),)
     chosen = set()
     blocked = set()
     for v in sorted(loops) + sorted(set(range(1, g.m + 1)) - loops):
         if v not in blocked:
             chosen.add(v)
-            mis.append(v)
             blocked.add(v)
             blocked.update(adj[v])
     mis_set = frozenset(chosen)
     return GraphAnalysis(
-        connected=connected,
-        nonbipartite=nonbipartite,
+        connected=len(comps) == 1,
+        nonbipartite=odd_cycle is not None,
         odd_cycle=odd_cycle,
         max_independent_set=mis_set,
         all_mis_have_self_loops=mis_set <= loops,
     )
-
-
-def _find_odd_cycle(g: BlockSparsityGraph, adj) -> tuple | None:
-    loops = g.self_loops()
-    if loops:
-        return (min(loops),)
-    color = {}
-    for start in range(1, g.m + 1):
-        if start in color:
-            continue
-        color[start] = 0
-        parent = {start: None}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in color:
-                    color[u] = 1 - color[v]
-                    parent[u] = v
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return _cycle_from_conflict(v, u, parent)
-    return None
 
 
 def _cycle_from_conflict(v, u, parent):

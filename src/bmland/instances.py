@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidS, MissingGraph, ZeroMatrix
 from .graphs import BlockSparsityGraph, MeasurementSet, analyze_graph, gram
+
+RANK_TOL = 1e-10
 
 
 @dataclass
@@ -137,28 +139,21 @@ def assemble_instance(
     )
 
 
-def check_class_membership(inst: McInstance, rank_tol: float = 1e-10) -> MembershipReport:
+def check_class_membership(inst: McInstance) -> MembershipReport:
     """Low-complexity-class conditions: rank-r PSD ground truth, full-rank
-    blocks, connected non-bipartite G1."""
+    blocks, connected non-bipartite G1. A singular value counts as zero at
+    ``RANK_TOL`` ||M*||_2 or below."""
     if inst.graph is None:
         raise MissingGraph("instance has no generating graph attached")
     m, r = inst.graph.m, inst.r
     M = inst.m_star()
-    sigma_scale = float(np.linalg.norm(M, 2))
-    threshold = rank_tol * max(sigma_scale, 1e-300)
+    threshold = RANK_TOL * max(float(np.linalg.norm(M, 2)), 1e-300)
 
     svals = np.linalg.svd(inst.x_star, compute_uv=False)
-    psd_rank_r = bool(svals.min(initial=np.inf) ** 2 > threshold) and inst.x_star.shape[1] == r
-
-    blocks_ok = True
-    for i in range(m):
-        for j in range(m):
-            block = M[i * r : (i + 1) * r, j * r : (j + 1) * r]
-            if np.linalg.svd(block, compute_uv=False).min() <= threshold:
-                blocks_ok = False
-                break
-        if not blocks_ok:
-            break
+    psd_rank_r = bool(svals.min(initial=np.inf) ** 2 > threshold)
+    # The m^2 r x r blocks of M*'s leading m*r rows and columns, as one stack.
+    blocks = M[: m * r, : m * r].reshape(m, r, m, r).swapaxes(1, 2)
+    blocks_ok = bool(np.linalg.svd(blocks, compute_uv=False).min() > threshold)
 
     ga = analyze_graph(inst.graph)
     return MembershipReport(

@@ -608,9 +608,10 @@ def classify_critical_point(inst: McInstance, loss: LossSpec, X: np.ndarray):
     stacked dense Hessians and one batched eigensolve. Points are
     canonicalized and judged on the lower-triangular tangent.
 
-    A point is critical when its gradient norm is at most 1e-8, a global
-    minimum when f <= 1e-8 max(||M*_Omega||^2, 1), and its eigenvalues count
-    as zero within 1e-7 max(1, |tr H| / dim H)."""
+    A point is critical when its gradient norm is at most
+    1e-8 (1 + ||M*_Omega||), a global minimum when
+    f <= 1e-8 max(||M*_Omega||^2, 1), and its eigenvalues count as zero
+    within 1e-7 max(1, |tr H| / dim H)."""
     # At r=1 this only flips signs, and the tangent is the whole space.
     X = canonicalize(_check_shape(inst, X))
     single = X.ndim == 2
@@ -622,10 +623,11 @@ def classify_critical_point(inst: McInstance, loss: LossSpec, X: np.ndarray):
         H = dense_hessian(inst, loss, X[sl])
         lam_min[sl] = _min_eigen(H, inst.n, inst.r, "lower_triangular_tangent")[0]
         eig_tol[sl] = 1e-7 * np.maximum(1.0, np.abs(np.trace(H, axis1=-2, axis2=-1)) / H.shape[-1])
-    global_tol = 1e-8 * max(inst.omega_scale() ** 2, 1.0)
+    scale = inst.omega_scale()
+    global_tol = 1e-8 * max(scale**2, 1.0)
     # The first condition that holds decides: an index into _VERDICTS.
     kinds = np.select(
-        [gn > 1e-8, f <= global_tol, lam_min < -eig_tol, lam_min > eig_tol], range(4), 4
+        [gn > 1e-8 * (1.0 + scale), f <= global_tol, lam_min < -eig_tol, lam_min > eig_tol], range(4), 4
     )
     verdicts = [
         ClassifiedPoint(_VERDICTS[k], float(v), float(g), float(lam))

@@ -125,6 +125,59 @@ def test_analyze_graph_triangle_odd_cycle():
         assert tuple(sorted((a, b))) in g.e1
 
 
+def _random_graph(rng, m_max):
+    m = int(rng.integers(1, m_max + 1))
+    p, p_loop = rng.random(), rng.random() * rng.integers(0, 2)
+    e1 = {(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if rng.random() < p}
+    e1 |= {(i, i) for i in range(1, m + 1) if rng.random() < p_loop}
+    return bmland.BlockSparsityGraph(m, frozenset(e1), frozenset())
+
+
+def test_analyze_graph_against_brute_force():
+    rng = np.random.default_rng(2021)
+    for _ in range(300):
+        g = _random_graph(rng, 9)
+        m, loops = g.m, g.self_loops()
+        edges = [(i, j) for (i, j) in g.e1 if i != j]
+        ga = bmland.analyze_graph(g)
+
+        root = list(range(m + 1))
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        for (i, j) in edges:
+            root[find(i)] = find(j)
+        assert ga.connected == (len({find(v) for v in range(1, m + 1)}) == 1)
+
+        # Bit v - 1 of c is vertex v's color, over all 2^m colorings.
+        c = np.arange(2**m)
+        proper = np.ones(2**m, dtype=bool)
+        for (i, j) in edges:
+            proper &= (c >> (i - 1)) & 1 != (c >> (j - 1)) & 1
+        assert ga.nonbipartite == (bool(loops) or not proper.any())
+
+        cycle = ga.odd_cycle
+        if not ga.nonbipartite:
+            assert cycle is None
+        elif len(cycle) == 1:
+            assert cycle[0] in loops
+        else:
+            assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                assert (min(a, b), max(a, b)) in g.e1 and a != b
+
+        mis = ga.max_independent_set
+        adj = {v: {u for e in edges for u in e if v in e and u != v} for v in range(1, m + 1)}
+        assert not any(adj[v] & mis for v in mis)
+        assert all(adj[v] & mis for v in range(1, m + 1) if v not in mis)
+        # Self-loop vertices are taken first: one left out sees a chosen one.
+        assert all(adj[v] & mis & loops for v in loops - mis)
+        assert ga.all_mis_have_self_loops == (mis <= loops)
+
+
 def test_erdos_renyi_repairs_and_determinism():
     s = [2, 5, 8]
     g1 = bmland.build_erdos_renyi(10, 0.0, s, seed=7)

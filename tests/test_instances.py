@@ -66,6 +66,28 @@ def test_membership_generic_perturbation_is_in_class():
     assert bmland.check_class_membership(inst).in_class
 
 
+def test_membership_blocks_match_per_block_loop():
+    # Reference: each r x r block of M* on its own, as a loop. Shrinking
+    # block row 3 of the factor walks its blocks across the rank threshold.
+    g = bmland.build_named_pattern("example1_path", n=5)
+    for r in (1, 2, 3):
+        omega = bmland.induce_measurement_set(g, 5 * r + 1, r)
+        for seed in range(3):
+            for k in (0, 3, 3.5, 4, 4.25, 5, 6, np.inf):
+                x = bmland.random_block_factor(5, r, seed=seed, n=5 * r + 1)
+                x[2 * r : 3 * r] *= 10.0**-k
+                inst = bmland.assemble_instance(x, omega, g)
+                M = inst.m_star()
+                threshold = bmland.instances.RANK_TOL * np.linalg.norm(M, 2)
+                want = all(
+                    np.linalg.svd(M[i * r : (i + 1) * r, j * r : (j + 1) * r], compute_uv=False).min()
+                    > threshold
+                    for i in range(5)
+                    for j in range(5)
+                )
+                assert bmland.check_class_membership(inst).all_blocks_full_rank == want, (r, seed, k)
+
+
 def test_membership_bipartite_graph_fails():
     g = bmland.BlockSparsityGraph(3, frozenset({(1, 2), (2, 3)}), frozenset())
     omega = bmland.induce_measurement_set(g, 3, 1)

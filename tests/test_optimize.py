@@ -527,6 +527,19 @@ def test_classification_of_known_points():
     )
 
 
+def test_converged_points_of_a_scaled_instance_are_critical():
+    # ||M*_Omega|| is about 43 here, so the descent's grad_tol is 1e-9 (1 + 43):
+    # an absolute 1e-8 criticality bound would read its endpoints NotCritical.
+    base = helpers.path_instance(6)
+    inst = bmland.assemble_instance(5.0 * base.x_star, base.omega, base.graph, base.s_vertices)
+    X0 = np.sqrt(5.0) * bmland.sample_radial_init("gaussian", 6, 1, seed=3, size=200)
+    res = bmland.gradient_descent_batch(inst, L2, X0, GdConfig())
+    converged = res.points[res.converged]
+    assert len(converged) > 100
+    verdicts = bmland.classify_critical_point(inst, L2, converged)
+    assert Classification.NOT_CRITICAL not in {v.kind for v in verdicts}
+
+
 def test_classification_stable_under_canonicalization():
     inst = helpers.star_rank2_instance(gamma=0.0)
     rng = np.random.default_rng(1)
