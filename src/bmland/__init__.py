@@ -43,10 +43,8 @@ from .landscape import (
 from .optimize import (
     Classification,
     GdConfig,
-    RunResult,
     Status,
     classify_critical_point,
-    gradient_descent,
     gradient_descent_batch,
     is_success,
     newton_refine,
@@ -102,10 +100,8 @@ __all__ = [
     "value_and_gradient",
     "Classification",
     "GdConfig",
-    "RunResult",
     "Status",
     "classify_critical_point",
-    "gradient_descent",
     "gradient_descent_batch",
     "is_success",
     "newton_refine",

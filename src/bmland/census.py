@@ -330,6 +330,8 @@ def equal_probability_test(
     one degree of freedom fewer than the minima, the arithmetic of
     ``scipy.stats.chisquare``. scipy is imported here, on first use, so that
     importing bmland loads numpy only."""
+    if trials < 1:
+        raise DimensionMismatch("trials must be >= 1")
     from scipy.special import chdtrc
 
     minima = known_global_minima(inst)

@@ -43,7 +43,7 @@ from .instances import (
 )
 from .landscape import LossSpec
 from .metric import MetricBudget, estimate_complexity_metric
-from .optimize import GdConfig, gradient_descent, sample_radial_init
+from .optimize import GdConfig, gradient_descent_batch, sample_radial_init
 from .completion import solve_by_propagation
 from .serialize import (
     atomic_write_text,
@@ -154,17 +154,17 @@ def _cmd_descend(cfg, args, seed, threads):
         sigma=require(cfg, "sigma", float, default=1.0),
         radius=require(cfg, "radius", float, default=1.0),
     )
-    result = gradient_descent(inst, loss, x0, _gd_config(cfg))
+    res = gradient_descent_batch(inst, loss, x0, _gd_config(cfg))
     doc = {
-        "status": result.status.value,
-        "iterations": result.iterations,
-        "objective": result.final_objective,
-        "grad_norm": result.final_grad_norm,
-        "final_point": result.final_point.tolist(),
+        "status": res.status[0].value,
+        "iterations": int(res.iters[0]),
+        "objective": float(res.values[0]),
+        "grad_norm": float(res.grad_norms[0]),
+        "final_point": res.points[0].tolist(),
     }
     path = _out_path(cfg, args, "descend.json")
     write_json(path, doc)
-    print(f"{result.status.value} after {result.iterations} iterations, f={result.final_objective:.6e} -> {path}")
+    print(f"{doc['status']} after {doc['iterations']} iterations, f={doc['objective']:.6e} -> {path}")
     return 0
 
 

@@ -40,6 +40,8 @@ class McInstance:
             raise DimensionMismatch(
                 f"omega is over [{self.omega.n}]^2, instance has n={self.n}"
             )
+        if self.graph is not None and self.graph.m * self.r > self.n:
+            raise DimensionMismatch(f"graph has m*r = {self.graph.m * self.r} > n = {self.n}")
         self._m_omega = None
         self._targets = None
 

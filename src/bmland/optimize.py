@@ -9,11 +9,13 @@ samples still running; the loop keeps its per-sample counters as iteration
 stamps, so that a step writes only the counters it resets, and a rejected
 step copies back only the rejected rows. One stack may hold the starts of
 several instances over one Omega, each start with its own target and
-tolerances. One ``gradient_descent_batch`` call owns the kernel's step
-buffers (``StepBuffers``) and reuses them every step, so a descent does not
-draw fresh pages per step. ``run_batch_chunked`` splits a large stack into
-chunks and runs them in forked worker processes; a chunk's rows are capped
-so that one (rows, n, d) temporary of the kernel, d the width of Omega's row
+tolerances. ``gradient_descent_batch`` and ``run_batch_chunked`` flatten
+their stack once (``_stack``) into instances, starts and each start's
+instance index, and ``_descend`` descends that flat stack; one call owns the
+kernel's step buffers (``StepBuffers``) and reuses them every step.
+``run_batch_chunked`` hands each chunk its rows and the instances they use,
+and runs the chunks in forked worker processes; a chunk's rows are capped so
+that one (rows, n, d) temporary of the kernel, d the width of Omega's row
 lists, stays within a fixed byte budget. With ``polish``, each chunk descends
 in rounds (``_descend_in_rounds``): the starts still running after
 ``HANDOFF_STEPS``, then twice as many steps, and so on, are polished by
@@ -44,7 +46,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionMismatch, NotNearCritical
-from .graphs import StepBuffers
+from .graphs import StepBuffers, gram
 from .instances import McInstance
 from .landscape import (
     LossSpec,
@@ -125,15 +127,6 @@ class GdConfig:
             else 10.0 * (1.0 + float(np.linalg.norm(inst.x_star)))
         )
         return replace(self, grad_tol=grad_tol, divergence_bound=bound)
-
-
-@dataclass
-class RunResult:
-    final_point: np.ndarray
-    final_objective: float
-    final_grad_norm: float
-    iterations: int
-    status: Status
 
 
 def sample_radial_init(
@@ -338,7 +331,12 @@ def gradient_descent_batch(insts, loss: LossSpec, X0, cfg: GdConfig) -> BatchRes
     from by instance index. The call owns one ``StepBuffers`` that every
     step's kernel call and target gather write into, so the descent reuses
     the same pages from step to step."""
-    insts, X0, group = _stack(insts, X0)
+    return _descend(*_stack(insts, X0), loss, cfg)
+
+
+def _descend(insts, X0, group, loss: LossSpec, cfg: GdConfig) -> BatchResult:
+    """``gradient_descent_batch`` of a flat stack as ``_stack`` returns it:
+    instances, (B, n, r) starts and each start's index into ``insts``."""
     cfgs = [cfg.resolved(inst) for inst in insts]
     if cfg.step is not None:
         steps0 = np.full(len(X0), cfg.step)
@@ -365,20 +363,6 @@ def gradient_descent_batch(insts, loss: LossSpec, X0, cfg: GdConfig) -> BatchRes
     )
 
 
-def gradient_descent(
-    inst: McInstance, loss: LossSpec, x0: np.ndarray, cfg: GdConfig | None = None
-) -> RunResult:
-    x0 = np.asarray(x0, dtype=float)
-    res = gradient_descent_batch(inst, loss, x0.reshape(1, len(x0), -1), cfg or GdConfig())
-    return RunResult(
-        final_point=res.points[0],
-        final_objective=float(res.values[0]),
-        final_grad_norm=float(res.grad_norms[0]),
-        iterations=int(res.iters[0]),
-        status=res.status[0],
-    )
-
-
 def _chunk_bounds(B: int, n: int, d: int, threads: int) -> np.ndarray:
     """Boundaries of the chunks of a B-row stack of (n, r) starts over an
     Omega with (n, d) row lists: k + 1 increasing indices from 0 to B that
@@ -387,14 +371,15 @@ def _chunk_bounds(B: int, n: int, d: int, threads: int) -> np.ndarray:
     A chunk has at most ``CHUNK_ROWS`` rows, and fewer when a (rows, n, d)
     temporary of the descent would exceed ``CHUNK_BUDGET_BYTES``. A stack
     large enough is cut into at least ``threads`` chunks of at least
-    ``MIN_CHUNK_ROWS`` rows each, so that every worker gets one."""
+    ``MIN_CHUNK_ROWS`` rows each, so that every worker gets one. An empty
+    stack is one empty chunk. At n = d = N, it chunks (N, N) curvatures."""
     rows = min(CHUNK_ROWS, max(1, CHUNK_BUDGET_BYTES // (8 * n * max(d, 1))))
-    k = max(-(-B // rows), min(threads, B // MIN_CHUNK_ROWS))
+    k = max(1, -(-B // rows), min(threads, B // MIN_CHUNK_ROWS))
     return np.arange(k + 1) * B // k
 
 
-def _descend_in_rounds(inst: McInstance, loss: LossSpec, X0, cfg: GdConfig) -> BatchResult:
-    """``gradient_descent_batch`` of one instance in rounds of
+def _descend_in_rounds(insts, X0, group, loss: LossSpec, cfg: GdConfig) -> BatchResult:
+    """``_descend`` of a flat stack of one instance in rounds of
     ``HANDOFF_STEPS``, 2 ``HANDOFF_STEPS``, 4 ``HANDOFF_STEPS``, ... steps,
     the last cut so that ``cfg.max_iters`` steps are spent in all.
 
@@ -407,8 +392,7 @@ def _descend_in_rounds(inst: McInstance, loss: LossSpec, X0, cfg: GdConfig) -> B
     diverges in a round keeps that round's result; one still running after
     the last round ends ``MaxIters``. ``iters`` counts first-order steps
     only, summed over the rounds."""
-    X0 = _check_shape(inst, X0)
-    B = len(X0)
+    inst, B = insts[0], len(X0)
     res = BatchResult(
         X0.copy(), np.empty(B), np.empty(B), np.zeros(B, dtype=int),
         np.full(B, Status.MAX_ITERS, dtype=object), np.zeros(B, dtype=bool),
@@ -417,7 +401,7 @@ def _descend_in_rounds(inst: McInstance, loss: LossSpec, X0, cfg: GdConfig) -> B
     run, spent, steps = np.arange(B), 0, HANDOFF_STEPS
     while run.size and spent < cfg.max_iters:
         budget = min(steps, cfg.max_iters - spent)
-        part = gradient_descent_batch(inst, loss, res.points[run], replace(cfg, max_iters=budget))
+        part = _descend(insts, res.points[run], group[run], loss, replace(cfg, max_iters=budget))
         part.iters += res.iters[run]
         for f in fields(BatchResult):
             getattr(res, f.name)[run] = getattr(part, f.name)
@@ -433,12 +417,11 @@ def _descend_in_rounds(inst: McInstance, loss: LossSpec, X0, cfg: GdConfig) -> B
     return res
 
 
-def _descend_chunk(insts, loss, X0, cfg, polish):
-    # Submitted to the pool by reference; it looks ``gradient_descent_batch``
-    # up in this module's globals, which a forked worker inherits as they are.
-    if polish:
-        return _descend_in_rounds(insts, loss, X0, cfg)
-    return gradient_descent_batch(insts, loss, X0, cfg)
+def _descend_chunk(insts, X0, group, loss, cfg, polish):
+    # Submitted to the pool by reference; it looks ``_descend`` and
+    # ``_descend_in_rounds`` up in this module's globals, which a forked
+    # worker inherits as they are.
+    return (_descend_in_rounds if polish else _descend)(insts, X0, group, loss, cfg)
 
 
 def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = False):
@@ -447,12 +430,12 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = 
 
     Takes one instance with its stack, or a sequence of instances over one
     Omega with one block of starts each, and returns one flat ``BatchResult``.
-    The chunks (``_chunk_bounds``) ignore the block boundaries. A chunk inside
-    one block goes out as that instance with its rows, and one that spans
-    blocks as the sequences of their instances and rows. A start's result
-    does not depend on its chunk, so outputs are identical for any
-    ``threads`` and each start's result is the one its instance would get run
-    alone.
+    The stack is checked and flattened once (``_stack``). The chunks
+    (``_chunk_bounds``) ignore the block boundaries: a chunk goes out as its
+    rows, the instances those rows use and each row's index into them. A
+    start's result does not depend on its chunk, so outputs are identical for
+    any ``threads`` and each start's result is the one its instance would get
+    run alone. An empty stack gives an empty result.
 
     With ``polish``, which takes one instance, each chunk descends in
     polished rounds (``_descend_in_rounds``) instead of in one run.
@@ -466,31 +449,21 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = 
     bounds = _chunk_bounds(len(X0), X0.shape[1], insts[0].omega.cols.shape[1], threads)
 
     def chunk(lo, hi):
-        first, last = group[lo], group[hi - 1]
-        if first == last:
-            return insts[first], X0[lo:hi]
-        cuts = np.searchsorted(group[lo:hi], np.arange(first + 1, last + 1))
-        return insts[first : last + 1], np.split(X0[lo:hi], cuts)
+        first, last = (group[lo], group[hi - 1]) if hi > lo else (0, 0)
+        return insts[first : last + 1], X0[lo:hi], group[lo:hi] - first
 
     chunks = [chunk(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if threads <= 1 or len(chunks) == 1:
-        parts = [_descend_chunk(i, loss, x, cfg, polish) for i, x in chunks]
+        parts = [_descend_chunk(*c, loss, cfg, polish) for c in chunks]
     else:
         with ProcessPoolExecutor(
             max_workers=min(threads, len(chunks)), mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            futures = [pool.submit(_descend_chunk, i, loss, x, cfg, polish) for i, x in chunks]
+            futures = [pool.submit(_descend_chunk, *c, loss, cfg, polish) for c in chunks]
             parts = [fut.result() for fut in futures]
     return BatchResult(
         *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(BatchResult))
     )
-
-
-def _curvature_chunks(K: int, N: int):
-    """Slices of consecutive chunks of a K-row stack, cut so that one chunk's
-    (rows, N, N) matrices take at most ``CHUNK_BUDGET_BYTES``."""
-    rows = max(1, CHUNK_BUDGET_BYTES // (8 * N**2))
-    return [slice(lo, lo + rows) for lo in range(0, K, rows)]
 
 
 def _damped_newton(value_and_grad, curvature, X: np.ndarray, start, tol, max_steps: int):
@@ -518,7 +491,8 @@ def _damped_newton(value_and_grad, curvature, X: np.ndarray, start, tol, max_ste
     tol = np.broadcast_to(tol, gn.shape)
     N = int(np.prod(X.shape[1:]))
     active = np.nonzero(gn > tol)[0]
-    for chunk in _curvature_chunks(len(active), N):
+    bounds = _chunk_bounds(len(active), N, N, 1)
+    for chunk in map(slice, bounds[:-1], bounds[1:]):
         ids = active[chunk]
         Xb, fb, Gb, gb, tb = X[ids], f[ids], G[ids], gn[ids], tol[ids]
         mu = np.full(len(ids), REFINE_DAMPING)
@@ -619,7 +593,9 @@ def classify_critical_point(inst: McInstance, loss: LossSpec, X: np.ndarray):
     f, G = value_and_gradient(inst, loss, X)
     gn = np.sqrt(_sq_norms(G))
     lam_min, eig_tol = np.empty(len(X)), np.empty(len(X))
-    for sl in _curvature_chunks(len(X), inst.n * inst.r):
+    N = inst.n * inst.r
+    bounds = _chunk_bounds(len(X), N, N, 1)
+    for sl in map(slice, bounds[:-1], bounds[1:]):
         H = dense_hessian(inst, loss, X[sl])
         lam_min[sl] = _min_eigen(H, inst.n, inst.r, "lower_triangular_tangent")[0]
         eig_tol[sl] = 1e-7 * np.maximum(1.0, np.abs(np.trace(H, axis1=-2, axis2=-1)) / H.shape[-1])
@@ -641,7 +617,7 @@ def is_success(inst: McInstance, X: np.ndarray):
     one point, a boolean mask for a stack of points."""
     X = _check_shape(inst, X)
     M = inst.m_star()
-    diff = np.einsum("...ir,...jr->...ij", X, X) - M
+    diff = gram(X) - M
     errs = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
     ok = errs <= 1e-4 * np.linalg.norm(M)
     return bool(ok) if ok.ndim == 0 else ok

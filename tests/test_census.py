@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -135,7 +136,15 @@ def test_success_rate_experiment_invariant_to_threads_and_chunks(monkeypatch):
 
 
 def test_products_route_descents_through_census_runner(monkeypatch):
-    # The benchmark counts descent verdicts by wrapping this one name.
+    # The benchmark's converged share comes from bench/tracing.py's
+    # StatusProbe, which wraps this one name: each product must make one call
+    # with all its starts, and a rename must fail here, not only in the bench.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracing)
+    probe = tracing.StatusProbe()
     calls = []
     runner = census.run_batch_chunked
 
@@ -145,15 +154,19 @@ def test_products_route_descents_through_census_runner(monkeypatch):
         return res
 
     monkeypatch.setattr(census, "run_batch_chunked", counting)
-    spec = _sweep_spec(7)
-    bmland.success_rate_experiment(spec, GdConfig(max_iters=50), threads=2)
-    assert calls == [len(spec.gamma_grid) * spec.trials]
-    calls.clear()
-    bmland.multistart_census(helpers.path_instance(4), L2, 25, seed=1)
-    assert calls == [25]
-    calls.clear()
-    bmland.estimate_complexity_metric(helpers.path_instance(4), bmland.MetricBudget(restarts=6, iters=20))
-    assert calls == [6]
+    sweep = _sweep_spec(7)
+    runs = (
+        (lambda: bmland.success_rate_experiment(sweep, GdConfig(max_iters=50), threads=2),
+         len(sweep.gamma_grid) * sweep.trials),
+        (lambda: bmland.multistart_census(helpers.path_instance(4), L2, 25, seed=1), 25),
+        (lambda: bmland.estimate_complexity_metric(
+            helpers.path_instance(4), bmland.MetricBudget(restarts=6, iters=20)), 6),
+    )
+    for run, starts in runs:
+        calls.clear()
+        with probe.installed():
+            run()
+        assert calls == [starts] and probe.starts == starts
 
 
 def test_success_rate_spec_validation():
@@ -198,6 +211,12 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_equal_probability_rejects_no_trials():
+    for trials in (0, -1):
+        with pytest.raises(DimensionMismatch, match="trials"):
+            bmland.equal_probability_test(helpers.path_instance(3), trials, seed=5)
 
 
 def test_equal_probability_unmatched_endpoint():

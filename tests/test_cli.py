@@ -1,10 +1,15 @@
 import json
 import pickle
 
+import numpy as np
 import pytest
 
+import bmland
 from bmland import errors
 from bmland.cli import OUT_DIR_ENV, main
+from bmland.serialize import instance_to_json, load_instance
+
+import helpers
 
 
 def _write(tmp_path, name, doc):
@@ -41,6 +46,26 @@ def test_descend_writes_result(tmp_path):
     doc = json.loads((out / "descend.json").read_text())
     assert doc["status"] == "Converged"
     assert doc["objective"] <= 1e-10
+
+
+def test_descend_writes_row_0_of_one_start_batch(tmp_path):
+    out = tmp_path / "out"
+    assert main(["gen", "--config", _write(tmp_path, "g.json", _base_cfg(gamma=0.2)), "--out", str(out)]) == 0
+    inst_path = str(out / "instance.json")
+    cfg = _write(tmp_path, "d.json", {"instance": inst_path, "seed": 5, "max_iters": 40})
+    assert main(["descend", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "descend.json").read_text())
+    inst = load_instance(inst_path)
+    init_seed = int(np.random.SeedSequence(5).generate_state(2)[1])
+    x0 = bmland.sample_radial_init("gaussian", inst.n, inst.r, init_seed)
+    res = bmland.gradient_descent_batch(inst, helpers.L2, x0[None], bmland.GdConfig(max_iters=40))
+    assert doc == {
+        "status": res.status[0].value,
+        "iterations": int(res.iters[0]),
+        "objective": float(res.values[0]),
+        "grad_norm": float(res.grad_norms[0]),
+        "final_point": res.points[0].tolist(),
+    }
 
 
 def test_census_with_lower_bound(tmp_path):
@@ -142,6 +167,16 @@ def test_every_error_survives_pickling():
         err = cls("threads", "must be >= 1") if cls is errors.ValidationError else cls("boom")
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is cls and str(back) == str(err), cls.__name__
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_graph_with_more_block_rows_than_n_exit_code(tmp_path, capsys, command):
+    # A saved 3-vertex path instance whose attached graph is the 4-vertex path.
+    doc = json.loads(instance_to_json(helpers.path_instance(3)))
+    doc["graph"] = bmland.build_named_pattern("example1_path", n=4).to_json()
+    cfg = _write(tmp_path, "c.json", {"instance": _write(tmp_path, "inst.json", doc)})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "graph has m*r = 4 > n = 3" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -53,6 +53,18 @@ def test_assemble_instance_shapes():
         bmland.assemble_instance(np.ones(5), omega)
 
 
+def test_instance_rejects_graph_with_more_block_rows_than_n():
+    # A 4-vertex path at r = 1 needs n >= 4: its blocks would overrun M*.
+    g = bmland.build_named_pattern("example1_path", n=4)
+    omega = bmland.full_measurement_set(3)
+    with pytest.raises(DimensionMismatch, match="m\\*r = 4"):
+        bmland.McInstance(3, 1, np.ones((3, 1)), omega, g)
+    with pytest.raises(DimensionMismatch, match="m\\*r = 4"):
+        bmland.assemble_instance(np.ones(3), omega, g)
+    # An instance wider than its graph is valid.
+    assert bmland.assemble_instance(np.ones(5), bmland.full_measurement_set(5), g).n == 5
+
+
 def test_membership_unperturbed_canonical_fails_blocks():
     inst = helpers.path_instance(4)
     rep = bmland.check_class_membership(inst)

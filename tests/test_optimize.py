@@ -14,6 +14,11 @@ import helpers
 from helpers import L2
 
 
+def _descend_one(inst, x0, cfg=None):
+    """A one-start ``gradient_descent_batch``: its result record."""
+    return bmland.gradient_descent_batch(inst, L2, x0, cfg or GdConfig())
+
+
 def test_sample_radial_init_shapes_and_determinism():
     a = bmland.sample_radial_init("gaussian", 5, 2, seed=3, size=10)
     b = bmland.sample_radial_init("gaussian", 5, 2, seed=3, size=10)
@@ -44,26 +49,26 @@ def test_gd_converges_on_unperturbed_instance():
     cfg = GdConfig().resolved(inst)
     for seed in range(5):
         x0 = bmland.sample_radial_init("gaussian", 4, 1, seed=seed)
-        res = bmland.gradient_descent(inst, L2, x0)
-        assert res.status == Status.CONVERGED
-        assert res.final_grad_norm <= cfg.grad_tol
-        assert res.final_objective <= 1e-10
-        assert res.final_objective <= bmland.objective(inst, L2, x0)
+        res = _descend_one(inst, x0)
+        assert list(res.status) == [Status.CONVERGED]
+        assert res.grad_norms[0] <= cfg.grad_tol
+        assert res.values[0] <= 1e-10
+        assert res.values[0] <= bmland.objective(inst, L2, x0)
 
 
 def test_gd_diverged_status():
     inst = helpers.path_instance(3)
     inst = bmland.assemble_instance(10.0 * inst.x_star, inst.omega, inst.graph, [1, 3])
     x0 = 0.5 * inst.x_star  # descent moves outward toward the large truth
-    res = bmland.gradient_descent(inst, L2, x0, GdConfig(divergence_bound=6.0))
-    assert res.status == Status.DIVERGED
+    res = _descend_one(inst, x0, GdConfig(divergence_bound=6.0))
+    assert list(res.status) == [Status.DIVERGED]
 
 
 def test_gd_max_iters_status():
     inst = helpers.path_instance(4, gamma=0.3, seed=1)
     x0 = bmland.sample_radial_init("gaussian", 4, 1, seed=0)
-    res = bmland.gradient_descent(inst, L2, x0, GdConfig(max_iters=3))
-    assert res.status == Status.MAX_ITERS and res.iterations == 3
+    res = _descend_one(inst, x0, GdConfig(max_iters=3))
+    assert list(res.status) == [Status.MAX_ITERS] and list(res.iters) == [3]
 
 
 def test_gd_config_validation():
@@ -79,17 +84,6 @@ def test_gd_config_validation():
         for bad in (-1.0, 0.0, float("nan")):
             with pytest.raises(DimensionMismatch, match=name):
                 GdConfig(**{name: bad})
-
-
-def test_batch_matches_single_runs():
-    inst = helpers.path_instance(4, gamma=0.1, seed=7)
-    X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=11, size=6)
-    batch = bmland.gradient_descent_batch(inst, L2, X0, GdConfig())
-    for b in range(6):
-        res = bmland.gradient_descent(inst, L2, X0[b])
-        assert np.array_equal(res.final_point, batch.points[b])
-        assert res.final_objective == batch.values[b]
-        assert res.status == batch.status[b]
 
 
 def test_chunked_runner_invariant_to_threads(monkeypatch):
@@ -307,6 +301,20 @@ def test_chunk_plan_covers_stack_in_near_equal_chunks():
                     assert sizes.min() >= optimize.MIN_CHUNK_ROWS
 
 
+def test_chunked_descent_of_empty_stack():
+    assert list(optimize._chunk_bounds(0, 4, 4, 2)) == [0, 0]  # one empty chunk
+    inst = helpers.path_instance(4)
+    empty = np.empty((0, 4, 1))
+    for insts, X0, kwargs in (
+        (inst, empty, {"threads": 2}),
+        (inst, empty, {"polish": True}),
+        ([inst, helpers.path_instance(4, gamma=0.1)], [empty, empty], {"threads": 2}),
+    ):
+        res = run_batch_chunked(insts, L2, X0, GdConfig(), **kwargs)
+        assert res.points.shape == (0, 4, 1)
+        assert all(len(getattr(res, f.name)) == 0 for f in dataclasses.fields(res))
+
+
 def test_chunk_plan_of_product_sizes():
     def sizes(B, n, d, threads):
         return list(np.diff(optimize._chunk_bounds(B, n, d, threads)))
@@ -347,14 +355,14 @@ def test_worker_error_reaches_caller_with_its_type(monkeypatch):
     X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=64)
     monkeypatch.setattr(optimize, "CHUNK_ROWS", 16)
     parent = os.getpid()
-    descend = optimize.gradient_descent_batch
+    descend = optimize._descend
 
     def failing_in_worker(*args):
         if os.getpid() != parent:
             raise ValidationError("threads", "must be >= 1")
         return descend(*args)
 
-    monkeypatch.setattr(optimize, "gradient_descent_batch", failing_in_worker)
+    monkeypatch.setattr(optimize, "_descend", failing_in_worker)
     with pytest.raises(ValidationError) as info:
         run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
     assert info.value.field == "threads"
@@ -364,8 +372,7 @@ def test_worker_error_reaches_caller_with_its_type(monkeypatch):
 def test_newton_refine_polishes_gd_endpoint():
     inst = helpers.path_instance(4, gamma=0.05, seed=3)
     x0 = bmland.sample_radial_init("gaussian", 4, 1, seed=1)
-    res = bmland.gradient_descent(inst, L2, x0)
-    refined = bmland.newton_refine(inst, L2, res.final_point)
+    refined = bmland.newton_refine(inst, L2, _descend_one(inst, x0).points[0])
     scale = 1.0 + inst.omega_scale()
     assert np.linalg.norm(bmland.gradient(inst, L2, refined)) <= 1e-12 * scale
 
