@@ -45,9 +45,9 @@ from .optimize import (
     GdConfig,
     Status,
     classify_critical_point,
-    gradient_descent_batch,
     is_success,
     newton_refine,
+    run_batch_chunked,
     sample_radial_init,
 )
 from .census import (
@@ -102,9 +102,9 @@ __all__ = [
     "GdConfig",
     "Status",
     "classify_critical_point",
-    "gradient_descent_batch",
     "is_success",
     "newton_refine",
+    "run_batch_chunked",
     "sample_radial_init",
     "CensusReport",
     "CriticalPointRecord",

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingS, UnmatchedEndpoint
+from .errors import DimensionMismatch, EmptyS, MissingS, UnmatchedEndpoint
 from .graphs import BlockSparsityGraph, analyze_graph, induce_measurement_set
 from .instances import McInstance, assemble_instance, build_canonical_ground_truth, perturb
 from .landscape import LossSpec, canonicalize, objective
@@ -165,7 +165,7 @@ def check_lower_bound(
     minima for the canonical construction on independent set S.
 
     With B = 2^{r(|S|-1)} - 1 orbit classes: at r=1 the bound counts the 2B
-    points, at r>1 the B orbits.
+    points, at r>1 the B orbits. An empty S has no bound and raises ``EmptyS``.
     """
     if s_vertices is not None:
         s_size = len(frozenset(s_vertices))
@@ -173,6 +173,8 @@ def check_lower_bound(
         s_size = len(analyze_graph(g).max_independent_set)
     else:
         raise MissingS("need either s_vertices or a graph to size S")
+    if not s_size:
+        raise EmptyS("S must be nonempty to bound the spurious minima")
     orbit_bound = 2 ** (r * (s_size - 1)) - 1
     if r == 1:
         bound = 2 * orbit_bound

@@ -43,7 +43,7 @@ from .instances import (
 )
 from .landscape import LossSpec
 from .metric import MetricBudget, estimate_complexity_metric
-from .optimize import GdConfig, gradient_descent_batch, sample_radial_init
+from .optimize import GdConfig, run_batch_chunked, sample_radial_init
 from .completion import solve_by_propagation
 from .serialize import (
     atomic_write_text,
@@ -154,7 +154,7 @@ def _cmd_descend(cfg, args, seed, threads):
         sigma=require(cfg, "sigma", float, default=1.0),
         radius=require(cfg, "radius", float, default=1.0),
     )
-    res = gradient_descent_batch(inst, loss, x0, _gd_config(cfg))
+    res = run_batch_chunked(inst, loss, x0, _gd_config(cfg))
     doc = {
         "status": res.status[0].value,
         "iterations": int(res.iters[0]),

@@ -78,10 +78,6 @@ def require(cfg: dict, field: str, kind=None, default=_MISSING):
             if not isinstance(value, dict):
                 raise ValueError
             return value
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError
-            return value
     except (TypeError, ValueError):
         pass
     raise ValidationError(field, f"expected {kind.__name__}, got {value!r}")

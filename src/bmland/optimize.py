@@ -3,21 +3,22 @@ Newton refinement, and critical-point classification.
 
 ``descend_batch`` is the one descent loop: it advances a stack of independent
 iterates of any batched value-and-gradient function, and the factorized
-objective runs through it (``gradient_descent_batch``, through
-``value_and_gradient``'s arithmetic). Each step makes one fused call on the
-samples still running; the loop keeps its per-sample counters as iteration
-stamps, so that a step writes only the counters it resets, and a rejected
-step copies back only the rejected rows. One stack may hold the starts of
-several instances over one Omega, each start with its own target and
-tolerances. ``gradient_descent_batch`` and ``run_batch_chunked`` flatten
-their stack once (``_stack``) into instances, starts and each start's
-instance index, and ``_descend`` descends that flat stack; one call owns the
-kernel's step buffers (``StepBuffers``) and reuses them every step.
-``run_batch_chunked`` hands each chunk its rows and the instances they use,
-and runs the chunks in forked worker processes; a chunk's rows are capped so
-that one (rows, n, d) temporary of the kernel, d the width of Omega's row
-lists, stays within a fixed byte budget. With ``polish``, each chunk descends
-in rounds (``_descend_in_rounds``): the starts still running after
+objective runs through it (``_descend``, through ``value_and_gradient``'s
+arithmetic). Each step makes one fused call on the samples still running;
+the loop keeps its per-sample counters as iteration stamps, so that a step
+writes only the counters it resets, and a rejected step copies back only the
+rejected rows. One stack may hold the starts of several instances over one
+Omega, each start with its own target and tolerances.
+
+``run_batch_chunked`` is the entry point: it flattens its stack once
+(``_stack``) into instances, starts and each start's instance index, hands
+each chunk its rows and the instances they use, and runs the chunks in
+forked worker processes; a chunk's rows are capped so that one (rows, n, d)
+temporary of the kernel, d the width of Omega's row lists, stays within a
+fixed byte budget. ``_descend``, the one driver, descends a chunk: it
+resolves each instance's target and tolerances once, and one call owns the
+kernel's step buffers (``StepBuffers``) and reuses them every step. With
+``polish``, it descends in rounds: the starts still running after
 ``HANDOFF_STEPS``, then twice as many steps, and so on, are polished by
 ``newton_refine`` between rounds, and a start whose polish reaches its
 ``grad_tol`` ends ``Converged`` there. Per-sample arithmetic is identical
@@ -320,31 +321,40 @@ def _stack(insts, X0):
     return insts, _check_shape(insts[0], X0), group
 
 
-def gradient_descent_batch(insts, loss: LossSpec, X0, cfg: GdConfig) -> BatchResult:
-    """``descend_batch`` on the factorized objective: of one instance with X0
-    a (B, n, r) stack, or of a sequence of instances over one Omega with X0 a
-    matching sequence of start blocks, returned flat, block after block.
+def _descend(insts, X0, group, loss: LossSpec, cfg: GdConfig, polish: bool = False) -> BatchResult:
+    """The one driver: ``descend_batch`` on the factorized objective of a
+    flat stack as ``_stack`` returns it (instances over one Omega, (B, n, r)
+    starts, each start's index into ``insts``). Each instance's target, auto
+    step scale, ``grad_tol`` and divergence bound are resolved once
+    (``cfg.resolved``); the targets are one (G, n, d) stack in Omega's
+    row-list layout that the kernel gathers from by instance index, and one
+    ``StepBuffers`` serves every step of every round.
 
-    Each start takes its target, auto step, ``grad_tol`` and divergence bound
-    from its own instance (``cfg.resolved``); the targets are kept as one
-    (G, n, d) stack, in Omega's row-list layout, that the kernel gathers
-    from by instance index. The call owns one ``StepBuffers`` that every
-    step's kernel call and target gather write into, so the descent reuses
-    the same pages from step to step."""
-    return _descend(*_stack(insts, X0), loss, cfg)
-
-
-def _descend(insts, X0, group, loss: LossSpec, cfg: GdConfig) -> BatchResult:
-    """``gradient_descent_batch`` of a flat stack as ``_stack`` returns it:
-    instances, (B, n, r) starts and each start's index into ``insts``."""
+    Without ``polish`` the stack descends in one round of ``cfg.max_iters``
+    steps. With it (one instance), rounds take ``HANDOFF_STEPS``, 2
+    ``HANDOFF_STEPS``, 4 ``HANDOFF_STEPS``, ... steps, the last cut so that
+    ``cfg.max_iters`` are spent in all, each from its starts' current points
+    and auto steps. After each round the starts that ran out of its steps are
+    polished as one stack (``newton_refine``, which leaves a point far from
+    critical as it is): a start whose polished gradient norm is at most its
+    ``grad_tol`` ends ``Converged`` and ``polished`` there, with its value and
+    gradient norm, and every other one resumes from its descent endpoint. A
+    start keeps the result of the round it converges, stalls or diverges in,
+    and one still running after the last round ends ``MaxIters``. ``iters``
+    counts first-order steps only, summed over the rounds."""
+    B = len(X0)
     cfgs = [cfg.resolved(inst) for inst in insts]
-    if cfg.step is not None:
-        steps0 = np.full(len(X0), cfg.step)
-    else:
-        steps0 = _auto_steps(np.array([inst.omega_scale() for inst in insts])[group], X0)
+    grad_tol = np.array([c.grad_tol for c in cfgs])[group]
+    bound = np.array([c.divergence_bound for c in cfgs])[group]
+    scales = np.array([inst.omega_scale() for inst in insts])[group]
     omega = insts[0].omega
     targets = np.stack([inst.observed_targets() for inst in insts])
     bufs = StepBuffers()
+    res = BatchResult(
+        X0.copy(), np.empty(B), np.empty(B), np.zeros(B, dtype=int),
+        np.full(B, Status.MAX_ITERS, dtype=object), np.zeros(B, dtype=bool),
+    )
+    run, spent, steps = np.arange(B), 0, HANDOFF_STEPS if polish else cfg.max_iters
 
     def value_and_grad(X, idx):
         # One instance broadcasts its target; only a mixed stack gathers,
@@ -353,14 +363,27 @@ def _descend(insts, X0, group, loss: LossSpec, cfg: GdConfig) -> BatchResult:
         target = targets[0]
         if len(targets) > 1:
             out = bufs.take("target", (len(idx),) + target.shape)
-            target = targets.take(group[idx], axis=0, out=out, mode="clip")
+            target = targets.take(rows[idx], axis=0, out=out, mode="clip")
         return _value_and_gradient(omega, target, loss, X, bufs)
 
-    return descend_batch(
-        value_and_grad, X0, steps0, cfg.max_iters,
-        np.array([c.grad_tol for c in cfgs])[group],
-        np.array([c.divergence_bound for c in cfgs])[group],
-    )
+    while run.size and spent < cfg.max_iters:
+        budget = min(steps, cfg.max_iters - spent)
+        X, rows = res.points[run], group[run]
+        steps0 = np.full(len(X), cfg.step) if cfg.step is not None else _auto_steps(scales[run], X)
+        part = descend_batch(value_and_grad, X, steps0, budget, grad_tol[run], bound[run])
+        part.iters += res.iters[run]
+        for f in fields(BatchResult):
+            getattr(res, f.name)[run] = getattr(part, f.name)
+        spent, steps = spent + budget, 2 * steps
+        run = run[[s is Status.MAX_ITERS for s in part.status]]
+        if polish and run.size:
+            P, values, gn = _polish(insts[0], loss, res.points[run])
+            ok = gn <= grad_tol[run]
+            done = run[ok]
+            res.points[done], res.values[done], res.grad_norms[done] = P[ok], values[ok], gn[ok]
+            res.status[done], res.polished[done] = Status.CONVERGED, True
+            run = run[~ok]
+    return res
 
 
 def _chunk_bounds(B: int, n: int, d: int, threads: int) -> np.ndarray:
@@ -378,57 +401,10 @@ def _chunk_bounds(B: int, n: int, d: int, threads: int) -> np.ndarray:
     return np.arange(k + 1) * B // k
 
 
-def _descend_in_rounds(insts, X0, group, loss: LossSpec, cfg: GdConfig) -> BatchResult:
-    """``_descend`` of a flat stack of one instance in rounds of
-    ``HANDOFF_STEPS``, 2 ``HANDOFF_STEPS``, 4 ``HANDOFF_STEPS``, ... steps,
-    the last cut so that ``cfg.max_iters`` steps are spent in all.
-
-    After each round the starts that ran out of its steps are polished as
-    one stack (``newton_refine``, which leaves a point far from critical as
-    it is). A start whose polished gradient norm is at most its ``grad_tol``
-    ends ``Converged`` and ``polished`` at the polished point, with its value
-    and gradient norm there; every other one resumes descent from its
-    descent endpoint in the next round. A start that converges, stalls or
-    diverges in a round keeps that round's result; one still running after
-    the last round ends ``MaxIters``. ``iters`` counts first-order steps
-    only, summed over the rounds."""
-    inst, B = insts[0], len(X0)
-    res = BatchResult(
-        X0.copy(), np.empty(B), np.empty(B), np.zeros(B, dtype=int),
-        np.full(B, Status.MAX_ITERS, dtype=object), np.zeros(B, dtype=bool),
-    )
-    grad_tol = cfg.resolved(inst).grad_tol
-    run, spent, steps = np.arange(B), 0, HANDOFF_STEPS
-    while run.size and spent < cfg.max_iters:
-        budget = min(steps, cfg.max_iters - spent)
-        part = _descend(insts, res.points[run], group[run], loss, replace(cfg, max_iters=budget))
-        part.iters += res.iters[run]
-        for f in fields(BatchResult):
-            getattr(res, f.name)[run] = getattr(part, f.name)
-        spent, steps = spent + budget, 2 * steps
-        run = run[[s is Status.MAX_ITERS for s in part.status]]
-        if run.size:
-            P, values, gn = _polish(inst, loss, res.points[run])
-            ok = gn <= grad_tol
-            done = run[ok]
-            res.points[done], res.values[done], res.grad_norms[done] = P[ok], values[ok], gn[ok]
-            res.status[done], res.polished[done] = Status.CONVERGED, True
-            run = run[~ok]
-    return res
-
-
-def _descend_chunk(insts, X0, group, loss, cfg, polish):
-    # Submitted to the pool by reference; it looks ``_descend`` and
-    # ``_descend_in_rounds`` up in this module's globals, which a forked
-    # worker inherits as they are.
-    return (_descend_in_rounds if polish else _descend)(insts, X0, group, loss, cfg)
-
-
 def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = False):
-    """``gradient_descent_batch`` over chunks of the flat start stack, run in
-    ``threads`` worker processes.
-
-    Takes one instance with its stack, or a sequence of instances over one
+    """``_descend`` over chunks of the flat start stack, run in ``threads``
+    worker processes. Takes one instance with a (B, n, r) stack (a single
+    (n, r) start is a one-row stack), or a sequence of instances over one
     Omega with one block of starts each, and returns one flat ``BatchResult``.
     The stack is checked and flattened once (``_stack``). The chunks
     (``_chunk_bounds``) ignore the block boundaries: a chunk goes out as its
@@ -438,11 +414,12 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = 
     run alone. An empty stack gives an empty result.
 
     With ``polish``, which takes one instance, each chunk descends in
-    polished rounds (``_descend_in_rounds``) instead of in one run.
+    polished rounds (``_descend``).
 
     One chunk, or ``threads=1``, runs in this process. Otherwise the chunks
     go to a pool of ``min(threads, chunks)`` processes started with ``fork``
-    (Linux and macOS), and an error raised in a worker is raised here."""
+    (Linux and macOS), which look ``_descend`` up in this module as the
+    parent left it, and an error raised in a worker is raised here."""
     insts, X0, group = _stack(insts, X0)
     if polish and len(insts) > 1:
         raise DimensionMismatch(f"polish takes one instance, got {len(insts)}")
@@ -454,12 +431,12 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = 
 
     chunks = [chunk(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     if threads <= 1 or len(chunks) == 1:
-        parts = [_descend_chunk(*c, loss, cfg, polish) for c in chunks]
+        parts = [_descend(*c, loss, cfg, polish) for c in chunks]
     else:
         with ProcessPoolExecutor(
             max_workers=min(threads, len(chunks)), mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            futures = [pool.submit(_descend_chunk, *c, loss, cfg, polish) for c in chunks]
+            futures = [pool.submit(_descend, *c, loss, cfg, polish) for c in chunks]
             parts = [fut.result() for fut in futures]
     return BatchResult(
         *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(BatchResult))

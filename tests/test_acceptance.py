@@ -175,8 +175,8 @@ def test_criterion_07_sign_equivariance():
             g_d = bmland.gradient(inst, L2, D * x0)
             g = bmland.gradient(inst, L2, x0)
             assert np.max(np.abs(g_d - D * g)) <= 1e-12
-            end = bmland.gradient_descent_batch(inst, L2, x0, GdConfig()).points[0]
-            end_d = bmland.gradient_descent_batch(inst, L2, D * x0, GdConfig()).points[0]
+            end = bmland.run_batch_chunked(inst, L2, x0, GdConfig()).points[0]
+            end_d = bmland.run_batch_chunked(inst, L2, D * x0, GdConfig()).points[0]
             assert np.linalg.norm(end_d - D * end) <= 1e-6
 
 

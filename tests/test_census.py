@@ -10,7 +10,7 @@ import pytest
 import bmland
 from bmland import Classification, GdConfig, census, optimize
 from bmland.census import CensusReport
-from bmland.errors import DimensionMismatch, MissingS, UnmatchedEndpoint
+from bmland.errors import DimensionMismatch, EmptyS, MissingS, UnmatchedEndpoint
 from bmland.landscape import canonicalize
 from bmland.serialize import census_report_to_json
 
@@ -77,6 +77,14 @@ def test_check_lower_bound_formulas():
     assert from_graph["bound"] == 6
     with pytest.raises(MissingS):
         bmland.check_lower_bound(rep, None, 1)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_check_lower_bound_rejects_empty_s(r):
+    # 2^{r(|S|-1)} - 1 at |S| = 0 is negative: no bound, not a met one.
+    g = bmland.build_named_pattern("example1_path", n=6)
+    with pytest.raises(EmptyS):
+        bmland.check_lower_bound(_empty_report(), g, r, s_vertices=[])
 
 
 def test_make_gamma_grid_midpoints():

@@ -58,7 +58,7 @@ def test_descend_writes_row_0_of_one_start_batch(tmp_path):
     inst = load_instance(inst_path)
     init_seed = int(np.random.SeedSequence(5).generate_state(2)[1])
     x0 = bmland.sample_radial_init("gaussian", inst.n, inst.r, init_seed)
-    res = bmland.gradient_descent_batch(inst, helpers.L2, x0[None], bmland.GdConfig(max_iters=40))
+    res = bmland.run_batch_chunked(inst, helpers.L2, x0[None], bmland.GdConfig(max_iters=40))
     assert doc == {
         "status": res.status[0].value,
         "iterations": int(res.iters[0]),
@@ -95,6 +95,29 @@ def test_check_reports_membership(tmp_path):
     doc = json.loads((out / "check.json").read_text())
     assert doc["in_class"] is True
     assert doc["max_independent_set"] == [1, 3]
+
+
+def test_check_erdos_renyi_pattern(tmp_path):
+    doc = {"pattern": "erdos_renyi", "m": 10, "p": 0.3, "S": [2, 5, 8], "graph_seed": 4, "gamma": 0.1}
+    out = tmp_path / "out"
+    assert main(["check", "--config", _write(tmp_path, "er.json", doc), "--out", str(out)]) == 0
+    report = json.loads((out / "check.json").read_text())
+    g = bmland.build_erdos_renyi(10, 0.3, [2, 5, 8], seed=4)
+    assert report["in_class"] is True
+    assert report["max_independent_set"] == sorted(bmland.analyze_graph(g).max_independent_set)
+
+
+def test_check_without_s_uses_maximal_independent_set(tmp_path):
+    # Without S the instance is built on the graph's maximal independent set:
+    # the same bytes as naming that set.
+    written = []
+    for name, extra in (("no_s", {}), ("mis", {"S": [1, 3, 5]})):
+        doc = {"pattern": "example1_path", "n": 6, "gamma": 0.2, "seed": 2, **extra}
+        out = tmp_path / name
+        assert main(["check", "--config", _write(tmp_path, f"{name}.json", doc), "--out", str(out)]) == 0
+        written.append((out / "check.json").read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["max_independent_set"] == [1, 3, 5]
 
 
 def test_metric_subcommand(tmp_path):

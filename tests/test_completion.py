@@ -42,6 +42,40 @@ def test_trailing_rows_recovered():
     assert _rel_err(inst, x_hat) <= 1e-10
 
 
+# Graphs without self-loops: the shortest odd cycle has 3 or 5 vertices, so
+# the anchor's Gram matrix is chained around it from off-diagonal blocks.
+LOOPLESS = {
+    "triangle": {(1, 2), (2, 3), (1, 3)},
+    "five_cycle": {(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)},
+    "triangle_with_pendant": {(1, 2), (2, 3), (1, 3), (3, 4)},
+}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("edges", LOOPLESS.values(), ids=LOOPLESS.keys())
+def test_odd_cycle_chain_recovers_loopless_graphs(edges, r):
+    m = max(j for _, j in edges)
+    g = bmland.BlockSparsityGraph(m, frozenset(edges), frozenset())
+    assert len(bmland.analyze_graph(g).odd_cycle) in (3, 5)
+    omega = bmland.induce_measurement_set(g, m * r, r)
+    inst = bmland.assemble_instance(bmland.random_block_factor(m, r, seed=5), omega, g)
+    assert _rel_err(inst, bmland.solve_by_propagation(inst).recovered_factor) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_even_cross_pattern_edges_and_recovery(n):
+    g = bmland.build_named_pattern("example2_even_cross", n=n)
+    # A self-loop at every vertex, and an edge between any two vertices one of
+    # which is even.
+    assert g.e1 == {
+        (i, j) for i in range(1, n + 1) for j in range(i, n + 1) if i == j or i % 2 == 0 or j % 2 == 0
+    }
+    assert g.e2 == frozenset()
+    omega = bmland.induce_measurement_set(g, n, 1)
+    inst = bmland.assemble_instance(bmland.random_block_factor(n, 1, seed=3), omega, g)
+    assert _rel_err(inst, bmland.solve_by_propagation(inst).recovered_factor) <= 1e-12
+
+
 def test_full_observation_idempotent():
     g = bmland.BlockSparsityGraph(
         3,

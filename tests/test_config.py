@@ -43,13 +43,12 @@ def test_load_config_missing_file():
 
 
 def test_require_types_and_defaults():
-    cfg = {"n": 6, "rate": 0.5, "name": "x", "items": [1], "sub": {}, "on": True}
+    cfg = {"n": 6, "rate": 0.5, "name": "x", "items": [1], "sub": {}}
     assert require(cfg, "n", int) == 6
     assert require(cfg, "rate", float) == 0.5
     assert require(cfg, "name", str) == "x"
     assert require(cfg, "items", list) == [1]
     assert require(cfg, "sub", dict) == {}
-    assert require(cfg, "on", bool) is True
     assert require(cfg, "absent", int, default=7) == 7
     assert require(cfg, "absent", str, default=None) is None
 

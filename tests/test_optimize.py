@@ -15,8 +15,8 @@ from helpers import L2
 
 
 def _descend_one(inst, x0, cfg=None):
-    """A one-start ``gradient_descent_batch``: its result record."""
-    return bmland.gradient_descent_batch(inst, L2, x0, cfg or GdConfig())
+    """A one-start ``run_batch_chunked``: its result record."""
+    return run_batch_chunked(inst, L2, x0, cfg or GdConfig())
 
 
 def test_sample_radial_init_shapes_and_determinism():
@@ -108,13 +108,13 @@ def test_retiring_samples_match_single_runs():
     inst = bmland.assemble_instance(1000.0 * base.x_star, base.omega, base.graph, [1, 3])
     X0 = np.array([[0, 0.5, 0], [1050, 0, 0], [0, 0.1, 0], [1000, 0, 0.1]])[..., None]
     cfg = GdConfig(step=3e-7, max_iters=600, divergence_bound=1200.0)
-    batch = bmland.gradient_descent_batch(inst, L2, X0, cfg)
+    batch = run_batch_chunked(inst, L2, X0, cfg)
     assert list(batch.status) == [Status.MAX_ITERS, Status.CONVERGED, Status.STALLED, Status.DIVERGED]
     assert batch.iters[0] == 600 and 0 < batch.iters[2] < 600
     assert 0 < batch.iters[1] < 600 and 0 < batch.iters[3] < 600
     assert np.array_equal(batch.values, bmland.objective(inst, L2, batch.points))
     for b in range(len(X0)):
-        alone = bmland.gradient_descent_batch(inst, L2, X0[b : b + 1], cfg)
+        alone = run_batch_chunked(inst, L2, X0[b : b + 1], cfg)
         for field in dataclasses.fields(alone):
             assert np.array_equal(getattr(alone, field.name)[0], getattr(batch, field.name)[b])
 
@@ -137,12 +137,12 @@ def test_stacked_instances_match_each_block_alone(monkeypatch):
     monkeypatch.setattr(optimize, "CHUNK_ROWS", 3)
     # A fixed step, and the auto step each start takes from its instance.
     for cfg in (GdConfig(step=3e-7, max_iters=600), GdConfig(max_iters=600)):
-        alone = [bmland.gradient_descent_batch(i, L2, X, cfg) for i, X in zip((big, small), blocks)]
+        alone = [run_batch_chunked(i, L2, X, cfg) for i, X in zip((big, small), blocks)]
         expected = {
             f.name: np.concatenate([getattr(a, f.name) for a in alone])
             for f in dataclasses.fields(alone[0])
         }
-        stacked = [bmland.gradient_descent_batch([big, small], L2, blocks, cfg)]
+        stacked = [optimize._descend(*optimize._stack([big, small], blocks), L2, cfg)]
         for threads in (1, 2):
             stacked.append(run_batch_chunked([big, small], L2, blocks, cfg, threads=threads))
         for res in stacked:
@@ -167,14 +167,14 @@ def test_row_list_descent_independent_of_stack(monkeypatch, r):
     blocks = [bmland.sample_radial_init("gaussian", 8 * r, r, seed=s, size=37) for s in (3, 4)]
     # A loose grad_tol retires some starts early, so the working set shrinks.
     cfg = GdConfig(max_iters=400, grad_tol=0.1)
-    stacked = [bmland.gradient_descent_batch([a, b], L2, blocks, cfg)]
+    stacked = [run_batch_chunked([a, b], L2, blocks, cfg)]
     monkeypatch.setattr(optimize, "CHUNK_ROWS", 5)  # chunks of 4 and 5 rows, some spanning both blocks
     for threads in (1, 2):
         stacked.append(run_batch_chunked([a, b], L2, blocks, cfg, threads=threads))
     # Each start alone, and each block alone, gives the same bits.
-    alone = [bmland.gradient_descent_batch(a, L2, blocks[0][k : k + 1], cfg) for k in (0, 17, 36)]
-    block = bmland.gradient_descent_batch(a, L2, blocks[0], cfg)
-    other = bmland.gradient_descent_batch(b, L2, blocks[1], cfg)
+    alone = [run_batch_chunked(a, L2, blocks[0][k : k + 1], cfg) for k in (0, 17, 36)]
+    block = run_batch_chunked(a, L2, blocks[0], cfg)
+    other = run_batch_chunked(b, L2, blocks[1], cfg)
     for res in stacked:
         for f in dataclasses.fields(block):
             got = getattr(res, f.name)
@@ -345,7 +345,7 @@ def test_chunk_rows_capped_by_memory_budget(monkeypatch):
             assert list(np.diff(optimize._chunk_bounds(10, n, d, threads))) == [2, 3, 2, 3]
         one = run_batch_chunked(inst, L2, X0, GdConfig(), threads=1)
         two = run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
-        for other in (two, optimize.gradient_descent_batch(inst, L2, X0, GdConfig())):
+        for other in (two, optimize._descend(*optimize._stack(inst, X0), L2, GdConfig())):
             for field in dataclasses.fields(one):
                 assert np.array_equal(getattr(one, field.name), getattr(other, field.name))
 
@@ -355,14 +355,15 @@ def test_worker_error_reaches_caller_with_its_type(monkeypatch):
     X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=64)
     monkeypatch.setattr(optimize, "CHUNK_ROWS", 16)
     parent = os.getpid()
-    descend = optimize._descend
+    descend = optimize.descend_batch
 
     def failing_in_worker(*args):
         if os.getpid() != parent:
             raise ValidationError("threads", "must be >= 1")
         return descend(*args)
 
-    monkeypatch.setattr(optimize, "_descend", failing_in_worker)
+    # A forked worker looks ``descend_batch`` up when its chunk calls it.
+    monkeypatch.setattr(optimize, "descend_batch", failing_in_worker)
     with pytest.raises(ValidationError) as info:
         run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
     assert info.value.field == "threads"
@@ -388,7 +389,7 @@ def _coarse_endpoints(inst, n_starts, seed, max_iters):
     """Canonical endpoints of descents stopped at 1e-4 (1 + ||M*_Omega||)."""
     cfg = GdConfig(max_iters=max_iters, grad_tol=1e-4 * (1.0 + inst.omega_scale()))
     X0 = bmland.sample_radial_init("gaussian", inst.n, inst.r, seed, size=n_starts)
-    res = bmland.gradient_descent_batch(inst, L2, X0, cfg)
+    res = run_batch_chunked(inst, L2, X0, cfg)
     return bmland.canonicalize(res.points[res.converged])
 
 
@@ -540,7 +541,7 @@ def test_converged_points_of_a_scaled_instance_are_critical():
     base = helpers.path_instance(6)
     inst = bmland.assemble_instance(5.0 * base.x_star, base.omega, base.graph, base.s_vertices)
     X0 = np.sqrt(5.0) * bmland.sample_radial_init("gaussian", 6, 1, seed=3, size=200)
-    res = bmland.gradient_descent_batch(inst, L2, X0, GdConfig())
+    res = run_batch_chunked(inst, L2, X0, GdConfig())
     converged = res.points[res.converged]
     assert len(converged) > 100
     verdicts = bmland.classify_critical_point(inst, L2, converged)
@@ -604,10 +605,33 @@ def test_polished_descent_converged_starts_meet_grad_tol():
     assert np.array_equal(res.grad_norms[conv], np.sqrt(np.einsum("bij,bij->b", G, G)))
     assert np.array_equal(res.values[conv], f)
     # A start that converges within the first round keeps its bits.
-    plain = optimize.gradient_descent_batch(inst, L2, X0, GdConfig(max_iters=optimize.HANDOFF_STEPS))
+    plain = run_batch_chunked(inst, L2, X0, GdConfig(max_iters=optimize.HANDOFF_STEPS))
     early = plain.converged
     assert early.any() and np.array_equal(res.points[early], plain.points[early])
     assert np.array_equal(res.iters[early], plain.iters[early])
+
+
+def test_polished_row_list_descent_matches_each_start_alone(monkeypatch):
+    # The sweep's Erdos-Renyi instance (n = 20 on row lists of width 8): some
+    # starts converge in the first round, through its polish, in later rounds
+    # that reuse the call's step buffers, or not at all.
+    S = list(range(1, 20, 2))
+    g = bmland.build_erdos_renyi(20, 0.3, S, seed=101)
+    omega = bmland.induce_measurement_set(g, 20, 1)
+    assert not omega.dense
+    x0 = bmland.build_canonical_ground_truth(g, S, 20, 1)
+    inst = bmland.assemble_instance(bmland.perturb(x0, 0.225, 7), omega, g, S)
+    X0 = bmland.sample_radial_init("gaussian", 20, 1, seed=3, size=24)
+    cfg = GdConfig(max_iters=2000)
+    alone = [run_batch_chunked(inst, L2, X0[b], cfg, polish=True) for b in range(len(X0))]
+    monkeypatch.setattr(optimize, "CHUNK_ROWS", 5)
+    for threads in (1, 2):
+        res = run_batch_chunked(inst, L2, X0, cfg, threads=threads, polish=True)
+        for b, one in enumerate(alone):
+            for field in dataclasses.fields(one):
+                assert np.array_equal(getattr(res, field.name)[b], getattr(one, field.name)[0]), field.name
+    late = res.converged & ~res.polished & (res.iters > optimize.HANDOFF_STEPS)
+    assert res.polished.any() and late.any() and not res.converged.all()
 
 
 def test_polished_descent_resumes_starts_the_polish_leaves():
