@@ -123,6 +123,10 @@ class MeasurementSet:
     ``row_products`` reads it as a zero row. When 2d > n the lists are the
     identity layout instead (``dense``): d = n, ``cols[i] = arange(n)``, and
     ``valid`` is the mask itself.
+
+    ``row_products`` works neighbor-major and batch-last: entry (i, k) of
+    the lists is element [k, i] of its (d, n, ...) arrays, so that slab k
+    holds every row's k-th neighbor, for every point of the stack.
     """
 
     def __init__(self, n: int, r: int, mask: np.ndarray):
@@ -167,8 +171,11 @@ class MeasurementSet:
             # padding entries name column n, which does not exist.
             cols = np.argsort(~observed, axis=1, kind="stable")[:, :d]
             cols = np.where(valid > 0, cols, self.n)
-        cols.setflags(write=False)
-        return cols, valid
+        # The neighbor-major (d, n) copy that ``row_products`` gathers with.
+        cols_t = np.ascontiguousarray(cols.T)
+        for a in (cols, cols_t):
+            a.setflags(write=False)
+        return cols, valid, cols_t
 
     @property
     def cols(self) -> np.ndarray:
@@ -193,25 +200,27 @@ class MeasurementSet:
         self, X: np.ndarray, bufs: StepBuffers | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The products X_i . X_cols[i, k] of a (b, n, r) stack on the
-        padded row lists, batch-last: the gathered rows Xg, (n, d, r, b),
-        and the products, (n, d, b), with the rank summed in order and 0 on
-        padding entries. Both are views of ``bufs``, fresh buffers when it
-        is None, and hold until its next use."""
+        padded row lists, neighbor-major and batch-last: the gathered rows
+        Xg, (d, n, r, b) with ``Xg[k, i] = X_cols[i, k]``, and the products,
+        (d, n, b), with the rank summed in order and 0 on padding entries.
+        Both are views of ``bufs``, fresh buffers when it is None, and hold
+        until its next use."""
         bufs = StepBuffers() if bufs is None else bufs
         b, n, r = X.shape
-        d = self.cols.shape[1]
+        cols_t = self._lists[2]
+        d = len(cols_t)
         # Xt[:n] is overwritten whole; only the padding row is zeroed.
         Xt = bufs.take("Xt", (n + 1, r, b))
         Xt[n] = 0.0
         Xt[:n] = X.transpose(1, 2, 0)
         # Every index is in range, so "clip" gathers exactly, and unlike the
         # default "raise" it writes straight into ``out``.
-        Xg = Xt.take(self.cols, axis=0, out=bufs.take("Xg", (n, d, r, b)), mode="clip")
-        P = np.multiply(Xt[:n, None, 0], Xg[:, :, 0], out=bufs.take("R", (n, d, b)))
+        Xg = Xt.take(cols_t, axis=0, out=bufs.take("Xg", (d, n, r, b)), mode="clip")
+        P = np.multiply(Xt[:n, 0], Xg[:, :, 0], out=bufs.take("R", (d, n, b)))
         if r > 1:
-            term = bufs.take("term", (n, d, b))
+            term = bufs.take("term", (d, n, b))
             for a in range(1, r):
-                P += np.multiply(Xt[:n, None, a], Xg[:, :, a], out=term)
+                P += np.multiply(Xt[:n, a], Xg[:, :, a], out=term)
         return Xg, P
 
     @property

@@ -12,20 +12,24 @@ point costs O(n d r), not O(n^2 r). When 2d > n the lists are the identity
 layout and the kernel forms the dense (n, n) residual instead: X X^T (an
 elementwise product at r = 1, otherwise a batched matmul with a contiguous
 copy of X^T as its right operand, ``MeasurementSet.dense_products``), with an
-einsum value. On the row lists it gathers the observed rows, works
-batch-last, and takes the value as a pairwise sum. On either layout the
-observed targets are the kernel's own products of the ground truth
+einsum value. On the row lists it gathers the observed rows and works
+neighbor-major and batch-last, on (d, n, b) arrays for a stack of b points,
+and its value is numpy's pairwise sum of each point's squared residuals:
+summed across the stack in elementwise adds when the stack has at least
+``STACK_SUM_ROWS`` points, one row per point below that. On either layout
+the observed targets are the kernel's own products of the ground truth
 (``McInstance.observed_targets``), so the residual at the truth is an exact
 zero. It broadcasts over leading batch axes, so a stack of factors of shape
 (B, n, r) is processed in one call, and so do the orbit maps
 ``restriction_map`` and ``canonicalize``. Its arithmetic lives in
-``_value_and_gradient``, which also takes a stack of per-point targets, so
-one descent can carry the starts of several instances over one Omega. Each
-point's result has the same bits whatever stack it is part of. On the row
-lists the kernel writes its large per-step arrays (padded rows, gathered
-rows, residual, squared residual) into a caller's ``StepBuffers``, or into
-its own when given none; one descent call passes one set to every step, so
-the kernel reuses the same pages from step to step.
+``_value_and_gradient``, which also takes a stack of per-point targets,
+batch-last on the row lists, so one descent can carry the starts of several
+instances over one Omega. Each point's result has the same bits whatever
+stack it is part of. On the row lists the kernel writes its large per-step
+arrays (padded rows, gathered rows, residual, squared residual) into a
+caller's ``StepBuffers``, or into its own when given none; one descent call
+passes one set to every step, so the kernel reuses the same pages from step
+to step.
 ``masked_residual`` and the Hessian routines work on the dense mask;
 ``dense_hessian`` and ``min_hessian_eigen`` take a point or a stack, and a
 point's Hessian has the same bits alone as in a stack.
@@ -42,6 +46,15 @@ from .graphs import MeasurementSet, StepBuffers
 from .instances import McInstance
 
 SIGN_TOL = 1e-9
+# The fewest points of a stack whose row-list value is summed across the
+# stack (``_stack_pairwise_sum``) rather than one contiguous row per point;
+# both give the same bits. The row sums cost about b calls of numpy's
+# reduction loop, the stack sum about L / 8 + 10 elementwise adds of b
+# entries. Squaring and summing (d, n, b) residuals with n d = L entries per
+# point (numpy 2.4.6, one core of a 2-core x86 VM), the stack sum was the
+# faster from b = 192 at L = 18 and 24, and from b = 128 at L = 160, 216 and
+# 1440; at b = 128 and L = 18 the row sums took 15-17 us against 17-20 us.
+STACK_SUM_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -105,11 +118,12 @@ def _value_and_gradient(
     bufs: StepBuffers | None = None,
 ):
     """``value_and_gradient`` of a checked (..., n, r) stack against observed
-    targets in ``omega``'s (n, d) row-list layout: one (n, d) target for
-    every point, or a (..., n, d) stack of per-point targets over the same
-    Omega. A point's bits do not depend on which of the two forms carries its
-    target, nor on the rest of the stack. ``bufs`` goes to the row-list
-    kernel (``_row_list_terms``)."""
+    targets in ``omega``'s layout (``McInstance.observed_targets``): one
+    target for every point, or a stack of per-point targets over the same
+    Omega, batch-last on the row lists, (d, n, b), and (b, n, n) on the
+    identity layout, for the b points of the stack. A point's bits do not
+    depend on which of the two forms carries its target, nor on the rest of
+    the stack. ``bufs`` goes to the row-list kernel (``_row_list_terms``)."""
     if omega.dense:
         R = _residual(omega, target, X)
         val = np.einsum("...ij,...ij->...", R, R)
@@ -130,35 +144,74 @@ def _row_list_terms(
     omega: MeasurementSet, target: np.ndarray, X: np.ndarray, bufs: StepBuffers | None = None
 ):
     """sum(R^2) and sum_k R[i, k] X_cols[i, k] of the residual on Omega's
-    padded row lists, R[i, k] = X_i . X_cols[i, k] - target[i, k], in
+    padded row lists, R[i, k] = X_i . X_cols[i, k] - M*[i, cols[i, k]], in
     O(n d r) per point.
 
-    The arithmetic runs batch-last, on (n, d, b) arrays, so that each
-    operation sweeps the stack in long loops even when n and d are small.
-    Each entry of R and of the gradient is an elementwise sum in a fixed
-    order, and the value a pairwise sum over one point's contiguous row of
-    R^2, so a point's bits do not depend on the stack around it.
+    The arithmetic runs neighbor-major and batch-last, on (d, n, b) arrays
+    (``MeasurementSet.row_products``), so that each operation sweeps the
+    stack in long loops even when n and d are small, and the gradient's sum
+    over k adds contiguous (n, r, b) slabs. ``target`` is the (d, n)
+    ``observed_targets`` of one instance, or a (d, n, b) stack of them, one
+    per point. Each entry of R and of the gradient is an elementwise sum in
+    a fixed order, and the value is numpy's pairwise sum of one point's R^2
+    as one contiguous row of n d entries in (i, k) order, so a point's bits
+    do not depend on the stack around it. A stack of at least
+    ``STACK_SUM_ROWS`` points takes that sum across the stack
+    (``_stack_pairwise_sum``); a smaller one sums each point's row.
 
     The padded rows, the gathered rows, the residual and its squares are
     views of ``bufs`` (``StepBuffers``), so a caller that passes one set to
     every call, as a descent does, reuses their pages; without it the call
     makes its own. The value and gradient come back as fresh arrays."""
     bufs = StepBuffers() if bufs is None else bufs
-    lead, (n, r), d = X.shape[:-2], X.shape[-2:], omega.cols.shape[1]
+    lead, (n, r) = X.shape[:-2], X.shape[-2:]
     Xg, R = omega.row_products(X.reshape(-1, n, r), bufs)
-    b = R.shape[-1]
-    R -= target[..., None] if target.ndim == 2 else target.reshape(b, n, d).transpose(1, 2, 0)
+    d, b = len(R), R.shape[-1]
+    R -= target[..., None] if target.ndim == 2 else target
     if d:
-        # Row i of the gradient sums R[i, k] Xg[i, k] over k: the products
+        # Row i of the gradient sums R[i, k] Xg[k, i] over k: the products
         # are formed in place, then summed by pairwise halving.
         Xg *= R[:, :, None]
-        G = _halving_sum(Xg.transpose(1, 0, 2, 3)).transpose(2, 0, 1).copy()
+        G = _halving_sum(Xg).transpose(2, 0, 1).copy()
     else:
         G = np.zeros((b, n, r))
-    sq = bufs.take("sq", (b, n, d))
-    np.square(R.transpose(2, 0, 1), out=sq)
-    val = sq.reshape(b, n * d).sum(axis=-1)
+    if b >= STACK_SUM_ROWS:
+        sq = bufs.take("sq", (n, d, b))
+        np.square(R.transpose(1, 0, 2), out=sq)
+        val = _stack_pairwise_sum(sq.reshape(n * d, b))
+    else:
+        sq = bufs.take("sq", (b, n, d))
+        np.square(R.transpose(2, 1, 0), out=sq)
+        val = sq.reshape(b, n * d).sum(axis=-1)
     return val.reshape(lead), G.reshape(lead + (n, r))
+
+
+def _stack_pairwise_sum(A: np.ndarray) -> np.ndarray:
+    """Sum of an (L, b) array over its first axis, each column in the order
+    in which ``np.add.reduce`` sums one contiguous row of L float64 entries
+    (numpy's pairwise sum), but in elementwise adds across the columns. Under
+    8 entries it adds them in order, from 0; up to 128 it keeps 8 running
+    sums over blocks of 8, combines them as ((s0 + s1) + (s2 + s3)) +
+    ((s4 + s5) + (s6 + s7)) and adds the rest in order; above 128 it adds
+    the sums of the two halves split at the multiple of 8 at or below L/2."""
+    L = len(A)
+    if L < 8:
+        s = np.zeros(A.shape[1:])
+        for a in A:
+            s += a
+        return s
+    if L <= 128:
+        m = L - L % 8
+        s = np.add.reduce(A[:m].reshape(m // 8, 8, -1), axis=0)
+        s = s[0::2] + s[1::2]
+        s = s[0::2] + s[1::2]
+        s = s[0] + s[1]
+        for a in A[m:]:
+            s += a
+        return s
+    h = L // 2
+    h -= h % 8
+    return _stack_pairwise_sum(A[:h]) + _stack_pairwise_sum(A[h:])
 
 
 def _halving_sum(A: np.ndarray) -> np.ndarray:

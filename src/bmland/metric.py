@@ -102,7 +102,7 @@ class _PairPenalty:
         # d gap / dZ = -grad / (2 d) while the gap is active.
         active = ((gap > 0) & (d > 0))[:, None, None]
         np.divide(grad, -2.0 * d[:, None, None], out=J[:, -1], where=active)
-        target = self.inst.observed_targets()[i, k]
+        target = self.inst.observed_targets()[k, i]
         res = np.concatenate([prods[0] - target, prods[0] - prods[1], gap[:, None]], axis=1)
         w = np.sqrt(np.repeat([self.w0, self.rho, self.rho_sep], [m, m, 1]))
         return res * w, J.reshape(len(Z), 2 * m + 1, -1) * w[:, None], d

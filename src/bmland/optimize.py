@@ -6,9 +6,11 @@ iterates of any batched value-and-gradient function, and the factorized
 objective runs through it (``_descend``, through ``value_and_gradient``'s
 arithmetic). Each step makes one fused call on the samples still running;
 the loop keeps its per-sample counters as iteration stamps, so that a step
-writes only the counters it resets, and a rejected step copies back only the
-rejected rows. One stack may hold the starts of several instances over one
-Omega, each start with its own target and tolerances.
+writes only the counters it resets, a rejected step copies back only the
+rejected rows, and a retirement compacts the state with one index. One
+stack may hold the starts of several instances over one Omega, each start
+with its own target and tolerances; their targets are gathered into the
+kernel's batch-last layout once per working set, not every step.
 
 ``run_batch_chunked`` is the entry point: it flattens its stack once
 (``_stack``) into instances, starts and each start's instance index, hands
@@ -20,8 +22,10 @@ resolves each instance's target and tolerances once, and one call owns the
 kernel's step buffers (``StepBuffers``) and reuses them every step. With
 ``polish``, it descends in rounds: the starts still running after
 ``HANDOFF_STEPS``, then twice as many steps, and so on, are polished by
-``newton_refine`` between rounds, and a start whose polish reaches its
-``grad_tol`` ends ``Converged`` there. Per-sample arithmetic is identical
+``newton_refine`` between rounds: a start whose polish reaches its
+``grad_tol`` ends ``Converged`` there, and one the polish brings lower
+without reaching it resumes from the polished point while that stays within
+its divergence bound. Per-sample arithmetic is identical
 regardless of how the stack is chunked or what else it holds, which keeps
 experiment outputs bit-stable under any number of workers.
 
@@ -193,7 +197,9 @@ def descend_batch(
     ``divergence_bound`` (each a scalar or a (B,) array).
     ``value_and_grad(X, idx)`` returns the (b,) values and (b, n, k) gradients
     of a (b, n, k) working set whose input indices are ``idx``, as new arrays:
-    the loop adopts them as its state and writes into them.
+    the loop adopts them as its state and writes into them. ``idx`` is one
+    array object from call to call until the working set changes, so a
+    caller can gather its per-sample data once per working set.
 
     The value is kept monotone per sample: a step that would increase it is
     rejected and the sample's step size halved; a sample's step grows by
@@ -241,9 +247,9 @@ def descend_batch(
         nonlocal idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at
         d = idx[out]
         points[d], values[d], grad_norms[d], iters[d] = X[out], f[out], gn[out], taken
-        keep = ~out
+        keep = np.flatnonzero(~out)
         idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at = (
-            a[keep] for a in (idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at)
+            a.take(keep, axis=0) for a in (idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at)
         )
 
     for it in range(max_iters):
@@ -326,29 +332,35 @@ def _descend(insts, X0, group, loss: LossSpec, cfg: GdConfig, polish: bool = Fal
     flat stack as ``_stack`` returns it (instances over one Omega, (B, n, r)
     starts, each start's index into ``insts``). Each instance's target, auto
     step scale, ``grad_tol`` and divergence bound are resolved once
-    (``cfg.resolved``); the targets are one (G, n, d) stack in Omega's
-    row-list layout that the kernel gathers from by instance index, and one
-    ``StepBuffers`` serves every step of every round.
+    (``cfg.resolved``), and one ``StepBuffers`` serves every step of every
+    round. One instance's target serves every start; a mixed stack gathers
+    its per-start targets, batch-last on the row lists as the kernel reads
+    them, once per working set, into one of the buffers.
 
     Without ``polish`` the stack descends in one round of ``cfg.max_iters``
-    steps. With it (one instance), rounds take ``HANDOFF_STEPS``, 2
-    ``HANDOFF_STEPS``, 4 ``HANDOFF_STEPS``, ... steps, the last cut so that
-    ``cfg.max_iters`` are spent in all, each from its starts' current points
-    and auto steps. After each round the starts that ran out of its steps are
-    polished as one stack (``newton_refine``, which leaves a point far from
-    critical as it is): a start whose polished gradient norm is at most its
-    ``grad_tol`` ends ``Converged`` and ``polished`` there, with its value and
-    gradient norm, and every other one resumes from its descent endpoint. A
-    start keeps the result of the round it converges, stalls or diverges in,
-    and one still running after the last round ends ``MaxIters``. ``iters``
-    counts first-order steps only, summed over the rounds."""
+    steps. With it, rounds take ``HANDOFF_STEPS``, 2 ``HANDOFF_STEPS``, 4
+    ``HANDOFF_STEPS``, ... steps, the last cut so that ``cfg.max_iters`` are
+    spent in all, each from its starts' current points and auto steps. After
+    each round the starts that ran out of its steps are polished, one stack
+    per instance (``newton_refine``, which leaves a point far from critical
+    as it is): a start whose polished gradient norm is at most its
+    ``grad_tol`` ends ``Converged`` and ``polished`` there. Every other one
+    resumes from the polished point if the polish lowered f and the point's
+    norm is within the start's divergence bound, and from its descent
+    endpoint otherwise. A start's value and gradient norm are those of the
+    point it holds. A start keeps the result of the round it converges,
+    stalls or diverges in, and one still running after the last round ends
+    ``MaxIters``. ``iters`` counts first-order steps only, summed over the
+    rounds."""
     B = len(X0)
     cfgs = [cfg.resolved(inst) for inst in insts]
     grad_tol = np.array([c.grad_tol for c in cfgs])[group]
     bound = np.array([c.divergence_bound for c in cfgs])[group]
     scales = np.array([inst.omega_scale() for inst in insts])[group]
     omega = insts[0].omega
-    targets = np.stack([inst.observed_targets() for inst in insts])
+    # The targets' batch axis, where the kernel reads a stack of them.
+    axis = 0 if omega.dense else -1
+    targets = np.stack([inst.observed_targets() for inst in insts], axis=axis)
     bufs = StepBuffers()
     res = BatchResult(
         X0.copy(), np.empty(B), np.empty(B), np.zeros(B, dtype=int),
@@ -356,14 +368,19 @@ def _descend(insts, X0, group, loss: LossSpec, cfg: GdConfig, polish: bool = Fal
     )
     run, spent, steps = np.arange(B), 0, HANDOFF_STEPS if polish else cfg.max_iters
 
+    # ``held`` is the working set whose targets ``target`` holds, as the
+    # index array ``descend_batch`` passes: one object until the set changes.
+    target, held = insts[0].observed_targets(), None
+
     def value_and_grad(X, idx):
-        # One instance broadcasts its target; only a mixed stack gathers,
-        # into a buffer like the kernel's own ("clip" is exact: every index
-        # is in range).
-        target = targets[0]
-        if len(targets) > 1:
-            out = bufs.take("target", (len(idx),) + target.shape)
-            target = targets.take(rows[idx], axis=0, out=out, mode="clip")
+        # Only a mixed stack gathers, into a buffer like the kernel's own
+        # ("clip" is exact: every index is in range).
+        nonlocal target, held
+        if len(insts) > 1 and idx is not held:
+            shape = list(targets.shape)
+            shape[axis] = len(idx)
+            out = bufs.take("target", tuple(shape))
+            target, held = targets.take(rows[idx], axis=axis, out=out, mode="clip"), idx
         return _value_and_gradient(omega, target, loss, X, bufs)
 
     while run.size and spent < cfg.max_iters:
@@ -377,11 +394,21 @@ def _descend(insts, X0, group, loss: LossSpec, cfg: GdConfig, polish: bool = Fal
         spent, steps = spent + budget, 2 * steps
         run = run[[s is Status.MAX_ITERS for s in part.status]]
         if polish and run.size:
-            P, values, gn = _polish(insts[0], loss, res.points[run])
+            P, values, gn = np.empty_like(res.points[run]), np.empty(run.size), np.empty(run.size)
+            # Not np.unique: its first call imports numpy.ma, about 1.7 MB.
+            for g, inst in enumerate(insts):
+                of = group[run] == g
+                if of.any():
+                    P[of], values[of], gn[of] = _polish(inst, loss, res.points[run[of]])
             ok = gn <= grad_tol[run]
-            done = run[ok]
-            res.points[done], res.values[done], res.grad_norms[done] = P[ok], values[ok], gn[ok]
-            res.status[done], res.polished[done] = Status.CONVERGED, True
+            res.status[run[ok]], res.polished[run[ok]] = Status.CONVERGED, True
+            # A start left above its grad_tol keeps the polish's progress
+            # only where that cannot read as a divergence.
+            adopt = ok | ((values < res.values[run]) & (np.sqrt(_sq_norms(P)) <= bound[run]))
+            moved = run[adopt]
+            res.points[moved], res.values[moved], res.grad_norms[moved] = (
+                P[adopt], values[adopt], gn[adopt]
+            )
             run = run[~ok]
     return res
 

@@ -137,6 +137,16 @@ def _dense_reference(inst, loss, X):
     return val, G
 
 
+def _target_stack(insts, group):
+    """The targets of ``insts[g]`` for each g in ``group``, stacked as the
+    kernel reads per-point targets: batch-last, (d, n, b), on the row lists,
+    and (b, n, n) on the identity layout."""
+    targets = [inst.observed_targets() for inst in insts]
+    if insts[0].omega.dense:
+        return np.stack(targets)[group]
+    return np.stack(targets, axis=-1)[..., group]
+
+
 def _assert_close(val, G, ref_val, ref_G):
     assert np.all(np.abs(val - ref_val) <= 1e-12 * np.abs(ref_val))
     assert np.all(np.abs(G - ref_G) <= 1e-12 * np.abs(ref_G).max())
@@ -184,9 +194,8 @@ def test_kernel_point_bits_independent_of_stack(name, r):
     X = np.random.default_rng(3).standard_normal((37, inst.n, inst.r))
     stacked = bmland.value_and_gradient(inst, L2, X)
     # Alternate the two instances' targets along the stack.
-    targets = np.stack([inst.observed_targets(), other.observed_targets()])
     group = np.arange(37) % 2
-    mixed = _value_and_gradient(inst.omega, targets[group], L2, X)
+    mixed = _value_and_gradient(inst.omega, _target_stack((inst, other), group), L2, X)
     for b in range(0, 37, 2):
         val, G = bmland.value_and_gradient(inst, L2, X[b])
         for v, g in (stacked, mixed):
@@ -195,6 +204,36 @@ def test_kernel_point_bits_independent_of_stack(name, r):
     assert mixed[0][1] == val and np.array_equal(mixed[1][1], G)
     refs = [_dense_reference((inst, other)[g], L2, X[b]) for b, g in enumerate(group)]
     _assert_close(*mixed, np.array([v for v, _ in refs]), np.stack([G for _, G in refs]))
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("name", ["path-sparse", "er-sparse", "diagonal", "empty"])
+def test_kernel_stack_sum_matches_each_point_alone(name, r):
+    # A stack of STACK_SUM_ROWS points or more sums each point's value across
+    # the stack, a point alone sums its own row; the n d entries per point
+    # are 24 and 216 (path), 160 and 1440 (Erdos-Renyi), 5 and 45 (diagonal
+    # blocks: row lists of width 1 and 3) and 0 (empty, d = 0).
+    from bmland.landscape import STACK_SUM_ROWS, _value_and_gradient
+
+    if name == "diagonal":
+        inst = _on_mask(np.eye(5, dtype=bool) if r == 1 else np.kron(np.eye(5), np.ones((3, 3))) > 0, r)
+    elif name == "empty":
+        inst = _on_mask(np.zeros((9, 9), dtype=bool), r)
+    else:
+        inst = _pattern(name, r)[0]
+    other = bmland.assemble_instance(2.0 * inst.x_star, inst.omega, inst.graph)
+    assert not inst.omega.dense
+    b = STACK_SUM_ROWS + 5
+    X = np.random.default_rng(r).standard_normal((b, inst.n, inst.r))
+    group = np.arange(b) % 3 == 1
+    stacked = bmland.value_and_gradient(inst, L2, X)
+    mixed = _value_and_gradient(inst.omega, _target_stack((inst, other), group.astype(int)), L2, X)
+    for k in range(b):
+        val, G = bmland.value_and_gradient(other if group[k] else inst, L2, X[k])
+        assert mixed[0][k] == val and np.array_equal(mixed[1][k], G)
+        if not group[k]:
+            assert stacked[0][k] == val and np.array_equal(stacked[1][k], G)
+    _assert_close(*stacked, *_dense_reference(inst, L2, X))
 
 
 @pytest.mark.parametrize("r", [1, 3])
@@ -207,12 +246,11 @@ def test_kernel_step_buffers_reuse(name, r):
 
     inst, _ = _pattern(name, r)
     other = bmland.assemble_instance(2.0 * inst.x_star, inst.omega, inst.graph)
-    targets = np.stack([inst.observed_targets(), other.observed_targets()])
     X = np.random.default_rng(4).standard_normal((40, inst.n, inst.r))
     for mixed in (False, True):
         bufs, kept = StepBuffers(), []
         for b in (24, 24, 17, 5, 1, 9, 40, 40):
-            target = targets[np.arange(b) % 2] if mixed else targets[0]
+            target = _target_stack((inst, other), np.arange(b) % 2) if mixed else inst.observed_targets()
             out = _value_and_gradient(inst.omega, target, L2, X[:b], bufs)
             fresh = _value_and_gradient(inst.omega, target, L2, X[:b])
             assert np.array_equal(out[0], fresh[0]) and np.array_equal(out[1], fresh[1])

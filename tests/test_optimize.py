@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bmland
-from bmland import Classification, GdConfig, Status, optimize
+from bmland import Classification, GdConfig, Status, landscape, optimize
 from bmland.errors import DimensionMismatch, NotNearCritical, ValidationError
 from bmland.optimize import run_batch_chunked
 
@@ -646,3 +646,53 @@ def test_polished_descent_resumes_starts_the_polish_leaves():
     # Starts the polish leaves in the first round converge in a later one.
     res = run_batch_chunked(inst, L2, X0, GdConfig(max_iters=3000), polish=True)
     assert np.any(res.converged & (res.iters > optimize.HANDOFF_STEPS))
+
+
+def test_polished_descent_keeps_polish_progress_within_bound(monkeypatch):
+    # These three starts of the draw run out of the first round's steps, and
+    # their polish lowers f without reaching grad_tol.
+    inst, X0 = _star_starts(500, 5)
+    X0 = X0[[102, 178, 343]]
+    cfg = GdConfig(max_iters=optimize.HANDOFF_STEPS)
+    plain = run_batch_chunked(inst, L2, X0, cfg)
+    assert all(s is Status.MAX_ITERS for s in plain.status)
+    P, values, gn = optimize._polish(inst, L2, plain.points)
+    assert np.all(values < plain.values) and np.all(gn > cfg.resolved(inst).grad_tol)
+    res = run_batch_chunked(inst, L2, X0, cfg, polish=True)
+    assert all(s is Status.MAX_ITERS for s in res.status) and not res.polished.any()
+    for got, want in ((res.points, P), (res.values, values), (res.grad_norms, gn)):
+        assert np.array_equal(got, want)
+    # A polished point past the divergence bound (the same points, scaled
+    # there) is not adopted: each start holds its descent endpoint.
+    bound, polish = cfg.resolved(inst).divergence_bound, optimize._polish
+
+    def far(inst, loss, X):
+        P, values, gn = polish(inst, loss, X)
+        return P * (2.0 * bound / np.sqrt(optimize._sq_norms(P)))[:, None, None], values, gn
+
+    monkeypatch.setattr(optimize, "_polish", far)
+    res = run_batch_chunked(inst, L2, X0, cfg, polish=True)
+    for name in ("points", "values", "grad_norms", "status"):
+        assert np.array_equal(getattr(res, name), getattr(plain, name)), name
+
+
+def test_polished_mixed_stack_across_stack_sum_rule_matches_each_start_alone(monkeypatch):
+    # The rule is lowered so that a small stack crosses it: 40 starts of two
+    # instances begin above it and fall below it as starts retire, and the
+    # kernel's per-start targets are gathered again at each compaction.
+    monkeypatch.setattr(landscape, "STACK_SUM_ROWS", 32)
+    graph = bmland.build_named_pattern("example1_path", n=8)
+    omega = bmland.induce_measurement_set(graph, 8, 1)
+    insts = [bmland.assemble_instance(bmland.random_block_factor(8, 1, seed=s), omega, graph) for s in (1, 2)]
+    assert not omega.dense
+    X0 = bmland.sample_radial_init("gaussian", 8, 1, seed=5, size=40)
+    group = np.arange(40) % 2
+    cfg = GdConfig(max_iters=1000)
+    res = optimize._descend(insts, X0, group, L2, cfg, polish=True)
+    for k in range(40):
+        one = optimize._descend([insts[group[k]]], X0[k : k + 1], np.zeros(1, dtype=int), L2, cfg, polish=True)
+        for f in dataclasses.fields(one):
+            assert np.array_equal(getattr(res, f.name)[k], getattr(one, f.name)[0]), (k, f.name)
+    retired_in_first_round = np.count_nonzero(res.iters < optimize.HANDOFF_STEPS)
+    assert 40 - retired_in_first_round < 32 and (res.iters > optimize.HANDOFF_STEPS).any()
+    assert all(res.polished[group == g].any() for g in (0, 1))
