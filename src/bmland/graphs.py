@@ -113,23 +113,21 @@ class StepBuffers:
 
 class MeasurementSet:
     """Symmetric set of observed entries of an n x n matrix, held as a
-    read-only 0/1 mask; ``entries`` lists them 1-based.
+    read-only 0/1 mask and as the padded row neighbor lists of the same
+    entries, built from the mask on first use and cached (read-only): row i
+    observes the columns ``cols[i, k]`` below n, in increasing order, and
+    the (n, d) array is padded to the largest row degree d with column n,
+    which does not exist (``row_products`` reads it as a zero row).
 
-    The objective kernel reads Omega as padded row neighbor lists, built
-    from the mask on first use and cached (read-only): row i observes the
-    columns ``cols[i, k]`` with ``valid[i, k] = 1``, in increasing order, and
-    the (n, d) arrays are padded to the largest row degree d. A padding
-    entry has ``valid`` 0 and names column n, which does not exist:
-    ``row_products`` reads it as a zero row. When 2d > n the lists are the
-    identity layout instead (``dense``): d = n, ``cols[i] = arange(n)``, and
-    ``valid`` is the mask itself.
-
-    ``row_products`` works neighbor-major and batch-last: entry (i, k) of
-    the lists is element [k, i] of its (d, n, ...) arrays, so that slab k
-    holds every row's k-th neighbor, for every point of the stack.
+    ``dense`` (2d > n) says only which arithmetic the objective kernel uses:
+    the dense (n, n) products on the mask (``dense_products``), or the row
+    lists (``row_products``). That works neighbor-major and batch-last:
+    entry (i, k) of the lists is element [k, i] of its (d, n, ...) arrays,
+    so that slab k holds every row's k-th neighbor, for every point of the
+    stack.
     """
 
-    def __init__(self, n: int, r: int, mask: np.ndarray):
+    def __init__(self, n: int, mask: np.ndarray):
         mask = np.array(mask, dtype=bool)
         if mask.shape != (n, n):
             raise InvalidParams(f"mask shape {mask.shape} != ({n}, {n})")
@@ -139,11 +137,11 @@ class MeasurementSet:
             raise InvalidParams(f"entry ({i},{j}) present without ({j},{i})")
         # Kernels multiply by the mask, and a float factor is cheaper there
         # than a boolean one.
-        self.n, self.r, self._mask = n, r, mask.astype(float)
+        self.n, self._mask = n, mask.astype(float)
         self._mask.setflags(write=False)
 
     @classmethod
-    def from_entries(cls, n: int, r: int, entries) -> "MeasurementSet":
+    def from_entries(cls, n: int, entries) -> "MeasurementSet":
         """Measurement set from 1-based (i, j) pairs, as stored on disk."""
         pairs = sorted(entries)
         ij = np.array(pairs, dtype=int).reshape(len(pairs), 2)
@@ -152,7 +150,7 @@ class MeasurementSet:
             raise InvalidParams(f"entry ({outside[0, 0]},{outside[0, 1]}) outside [1,{n}]^2")
         mask = np.zeros((n, n), dtype=bool)
         mask[ij[:, 0] - 1, ij[:, 1] - 1] = True
-        return cls(n, r, mask)
+        return cls(n, mask)
 
     def mask(self) -> np.ndarray:
         return self._mask
@@ -162,33 +160,24 @@ class MeasurementSet:
         observed = self._mask > 0
         degree = np.count_nonzero(observed, axis=1)
         d = int(degree.max(initial=0))
-        if 2 * d > self.n:
-            cols, valid = np.tile(np.arange(self.n), (self.n, 1)), self._mask
-        else:
-            valid = (np.arange(d) < degree[:, None]).astype(float)
-            valid.setflags(write=False)
-            # A stable sort puts each row's observed columns first, in order;
-            # padding entries name column n, which does not exist.
-            cols = np.argsort(~observed, axis=1, kind="stable")[:, :d]
-            cols = np.where(valid > 0, cols, self.n)
+        # A stable sort puts each row's observed columns first, in order;
+        # padding entries name column n, which does not exist.
+        cols = np.argsort(~observed, axis=1, kind="stable")[:, :d]
+        cols = np.where(np.arange(d) < degree[:, None], cols, self.n)
         # The neighbor-major (d, n) copy that ``row_products`` gathers with.
         cols_t = np.ascontiguousarray(cols.T)
         for a in (cols, cols_t):
             a.setflags(write=False)
-        return cols, valid, cols_t
+        return cols, cols_t
 
     @property
     def cols(self) -> np.ndarray:
         return self._lists[0]
 
     @property
-    def valid(self) -> np.ndarray:
-        return self._lists[1]
-
-    @property
     def dense(self) -> bool:
-        """Whether the row lists are the identity layout, d = n."""
-        return self.cols.shape[1] == self.n
+        """Whether the kernel forms dense (n, n) products: 2d > n."""
+        return 2 * self.cols.shape[1] > self.n
 
     def dense_products(self, X: np.ndarray) -> np.ndarray:
         """The products ``gram(X) * mask`` of a (..., n, r) stack, (..., n, n)."""
@@ -207,7 +196,7 @@ class MeasurementSet:
         until its next use."""
         bufs = StepBuffers() if bufs is None else bufs
         b, n, r = X.shape
-        cols_t = self._lists[2]
+        cols_t = self._lists[1]
         d = len(cols_t)
         # Xt[:n] is overwritten whole; only the padding row is zeroed.
         Xt = bufs.take("Xt", (n + 1, r, b))
@@ -222,10 +211,6 @@ class MeasurementSet:
             for a in range(1, r):
                 P += np.multiply(Xt[:n, a], Xg[:, :, a], out=term)
         return Xg, P
-
-    @property
-    def entries(self) -> frozenset:
-        return frozenset(map(tuple, self.to_json()))
 
     def __len__(self):
         return int(np.count_nonzero(self._mask))
@@ -469,8 +454,8 @@ def induce_measurement_set(g: BlockSparsityGraph, n: int, r: int) -> Measurement
     if mr < n:
         w[mr:, :] = True
         w[:, mr:] = True
-    return MeasurementSet(n, r, w)
+    return MeasurementSet(n, w)
 
 
-def full_measurement_set(n: int, r: int = 1) -> MeasurementSet:
-    return MeasurementSet(n, r, np.ones((n, n), dtype=bool))
+def full_measurement_set(n: int) -> MeasurementSet:
+    return MeasurementSet(n, np.ones((n, n), dtype=bool))

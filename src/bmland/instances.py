@@ -60,10 +60,11 @@ class McInstance:
     def observed_targets(self) -> np.ndarray:
         """Observed entries of M* in the objective kernel's layout, cached
         (write-once): on Omega's row lists a neighbor-major (d, n) array,
-        whose [k, i] is entry (i, cols[i, k]) and 0 on padding; on the
-        identity layout ``m_star_omega()``, (n, n). On either layout they are
-        the kernel's own products of the ground truth, so that its residual
-        there is exactly zero."""
+        whose [k, i] is entry (i, cols[i, k]) and 0 on padding; where the
+        kernel forms dense products (``MeasurementSet.dense``),
+        ``m_star_omega()``, (n, n). Either way they are the kernel's own
+        products of the ground truth, so that its residual there is exactly
+        zero."""
         if self._targets is None:
             if self.omega.dense:
                 t = self.m_star_omega()

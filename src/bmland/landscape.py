@@ -8,16 +8,16 @@ Q(X) = lambda * sum_i (||X_i|| - alpha)_+^4.
 residual once and returns the value and the gradient from it; ``objective``
 and ``gradient`` are its two halves. It reads Omega as padded row neighbor
 lists (``MeasurementSet.cols``, (n, d) with d the largest row degree), so a
-point costs O(n d r), not O(n^2 r). When 2d > n the lists are the identity
-layout and the kernel forms the dense (n, n) residual instead: X X^T (an
+point costs O(n d r), not O(n^2 r). When 2d > n (``MeasurementSet.dense``)
+the kernel forms the dense (n, n) residual on the mask instead: X X^T (an
 elementwise product at r = 1, otherwise a batched matmul with a contiguous
 copy of X^T as its right operand, ``MeasurementSet.dense_products``), with an
 einsum value. On the row lists it gathers the observed rows and works
 neighbor-major and batch-last, on (d, n, b) arrays for a stack of b points,
 and its value is numpy's pairwise sum of each point's squared residuals:
 summed across the stack in elementwise adds when the stack has at least
-``STACK_SUM_ROWS`` points, one row per point below that. On either layout
-the observed targets are the kernel's own products of the ground truth
+``STACK_SUM_ROWS`` points, one row per point below that. Either way the
+observed targets are the kernel's own products of the ground truth
 (``McInstance.observed_targets``), so the residual at the truth is an exact
 zero. It broadcasts over leading batch axes, so a stack of factors of shape
 (B, n, r) is processed in one call, and so do the orbit maps
@@ -120,8 +120,8 @@ def _value_and_gradient(
     """``value_and_gradient`` of a checked (..., n, r) stack against observed
     targets in ``omega``'s layout (``McInstance.observed_targets``): one
     target for every point, or a stack of per-point targets over the same
-    Omega, batch-last on the row lists, (d, n, b), and (b, n, n) on the
-    identity layout, for the b points of the stack. A point's bits do not
+    Omega, batch-last on the row lists, (d, n, b), and (b, n, n) where the
+    kernel is dense, for the b points of the stack. A point's bits do not
     depend on which of the two forms carries its target, nor on the rest of
     the stack. ``bufs`` goes to the row-list kernel (``_row_list_terms``)."""
     if omega.dense:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,17 +81,26 @@ class _PairPenalty:
     rho_sep: float
     separation: float
 
+    @cached_property
+    def _entries(self):
+        """The m observed entries (i, j) of Omega, in row-major order, and M*
+        on them, formed by ``residuals``' own product of the ground truth, so
+        that r0 is exactly 0 at X1 = x*."""
+        i, j = np.nonzero(self.inst.omega.mask())
+        x = self.inst.x_star
+        return i, j, np.sum(x[i] * x[j], axis=-1)
+
     def residuals(self, Z: np.ndarray):
-        """res, (P, 2m + 1) over the m entries of Omega's row lists, its
-        (P, 2m + 1, 2nr) Jacobian, and d."""
-        omega, r = self.inst.omega, self.inst.r
-        i, k = np.nonzero(omega.valid)
-        j, m, e = omega.cols[i, k], len(i), np.arange(len(i))
+        """res, (P, 2m + 1) over the m observed entries, its (P, 2m + 1, 2nr)
+        Jacobian, and d."""
+        r = self.inst.r
+        i, j, target = self._entries
+        m, e = len(i), np.arange(len(i))
         J = np.zeros((len(Z), 2 * m + 1) + Z.shape[1:])
         prods = []
         for half in (slice(0, r), slice(r, 2 * r)):
-            # The products X_i . X_j, summed in the order of ``row_products``,
-            # and their derivatives, X_j on row i and X_i on row j.
+            # The products X_i . X_j and their derivatives, X_j on row i and
+            # X_i on row j.
             X = Z[..., half]
             prods.append(np.sum(X[:, i] * X[:, j], axis=-1))
             J[:, m + e, i, half] = X[:, j]
@@ -102,7 +112,6 @@ class _PairPenalty:
         # d gap / dZ = -grad / (2 d) while the gap is active.
         active = ((gap > 0) & (d > 0))[:, None, None]
         np.divide(grad, -2.0 * d[:, None, None], out=J[:, -1], where=active)
-        target = self.inst.observed_targets()[k, i]
         res = np.concatenate([prods[0] - target, prods[0] - prods[1], gap[:, None]], axis=1)
         w = np.sqrt(np.repeat([self.w0, self.rho, self.rho_sep], [m, m, 1]))
         return res * w, J.reshape(len(Z), 2 * m + 1, -1) * w[:, None], d

@@ -16,18 +16,18 @@ kernel's batch-last layout once per working set, not every step.
 (``_stack``) into instances, starts and each start's instance index, hands
 each chunk its rows and the instances they use, and runs the chunks in
 forked worker processes; a chunk's rows are capped so that one (rows, n, d)
-temporary of the kernel, d the width of Omega's row lists, stays within a
-fixed byte budget. ``_descend``, the one driver, descends a chunk: it
-resolves each instance's target and tolerances once, and one call owns the
-kernel's step buffers (``StepBuffers``) and reuses them every step. With
-``polish``, it descends in rounds: the starts still running after
-``HANDOFF_STEPS``, then twice as many steps, and so on, are polished by
-``newton_refine`` between rounds: a start whose polish reaches its
-``grad_tol`` ends ``Converged`` there, and one the polish brings lower
-without reaching it resumes from the polished point while that stays within
-its divergence bound. Per-sample arithmetic is identical
-regardless of how the stack is chunked or what else it holds, which keeps
-experiment outputs bit-stable under any number of workers.
+temporary of the kernel, d the width of Omega's row lists (n where the
+kernel forms dense products), stays within a fixed byte budget.
+``_descend``, the one driver, descends a chunk: it resolves each instance's
+target and tolerances once, and one call owns the kernel's step buffers
+(``StepBuffers``) and reuses them every step. With ``polish``, it descends
+in rounds: the starts still running after ``HANDOFF_STEPS``, then twice as
+many steps, and so on, are polished by ``newton_refine`` between rounds: a
+start whose polish reaches its ``grad_tol`` ends ``Converged`` there, and
+one the polish brings lower without reaching it resumes from the polished
+point while that stays within its divergence bound. Per-sample arithmetic
+is identical regardless of how the stack is chunked or what else it holds,
+which keeps experiment outputs bit-stable under any number of workers.
 
 ``_damped_newton`` is the one second-order loop, over a stack, from a
 curvature callable: ``newton_refine`` runs it on Hessians (saddle-free
@@ -317,9 +317,8 @@ def _stack(insts, X0):
             )
         first = insts[0]
         for inst in insts[1:]:
-            if (inst.n, inst.r) != (first.n, first.r) or not (
-                np.array_equal(inst.omega.cols, first.omega.cols)
-                and np.array_equal(inst.omega.valid, first.omega.valid)
+            if (inst.n, inst.r) != (first.n, first.r) or not np.array_equal(
+                inst.omega.mask(), first.omega.mask()
             ):
                 raise DimensionMismatch("stacked instances must share n, r and Omega")
     X0 = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -414,9 +413,10 @@ def _descend(insts, X0, group, loss: LossSpec, cfg: GdConfig, polish: bool = Fal
 
 
 def _chunk_bounds(B: int, n: int, d: int, threads: int) -> np.ndarray:
-    """Boundaries of the chunks of a B-row stack of (n, r) starts over an
-    Omega with (n, d) row lists: k + 1 increasing indices from 0 to B that
-    cut it into k near-equal chunks.
+    """Boundaries of the chunks of a B-row stack of (n, r) starts whose
+    kernel temporaries are (rows, n, d), d the width of Omega's row lists,
+    or n where the kernel forms dense products: k + 1 increasing indices
+    from 0 to B that cut it into k near-equal chunks.
 
     A chunk has at most ``CHUNK_ROWS`` rows, and fewer when a (rows, n, d)
     temporary of the descent would exceed ``CHUNK_BUDGET_BYTES``. A stack
@@ -440,17 +440,16 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = 
     any ``threads`` and each start's result is the one its instance would get
     run alone. An empty stack gives an empty result.
 
-    With ``polish``, which takes one instance, each chunk descends in
-    polished rounds (``_descend``).
+    With ``polish``, each chunk descends in polished rounds (``_descend``).
 
     One chunk, or ``threads=1``, runs in this process. Otherwise the chunks
     go to a pool of ``min(threads, chunks)`` processes started with ``fork``
     (Linux and macOS), which look ``_descend`` up in this module as the
     parent left it, and an error raised in a worker is raised here."""
     insts, X0, group = _stack(insts, X0)
-    if polish and len(insts) > 1:
-        raise DimensionMismatch(f"polish takes one instance, got {len(insts)}")
-    bounds = _chunk_bounds(len(X0), X0.shape[1], insts[0].omega.cols.shape[1], threads)
+    omega = insts[0].omega
+    width = omega.n if omega.dense else omega.cols.shape[1]
+    bounds = _chunk_bounds(len(X0), X0.shape[1], width, threads)
 
     def chunk(lo, hi):
         first, last = (group[lo], group[hi - 1]) if hi > lo else (0, 0)

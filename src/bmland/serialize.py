@@ -68,7 +68,7 @@ def instance_from_json(text: str) -> McInstance:
         graph = None
         if doc.get("graph") is not None:
             graph = BlockSparsityGraph.from_json(doc["graph"])
-        omega = MeasurementSet.from_entries(doc["n"], doc["r"], map(tuple, doc["omega"]))
+        omega = MeasurementSet.from_entries(doc["n"], map(tuple, doc["omega"]))
         s = doc.get("s_vertices")
         return McInstance(
             n=doc["n"],

@@ -17,19 +17,28 @@ def path_instance(n, gamma=0.0, seed=0):
     return bmland.assemble_instance(x, omega, g, s)
 
 
-def star_rank2_instance(gamma=0.05, seed=13):
-    """m=4 star with hub 4, self-loops and a connected off-diagonal tree on
-    S={1,2,3}; rank-2 canonical ground truth, perturbed."""
+def star_ladder(k, gamma=0.05, seed=13):
+    """Rung |S| = k of the star ladder: hub m = k + 1 joined to the leaves
+    S = {1..k}, each with a self-loop, and an off-diagonal path on S; rank-2
+    canonical ground truth on n = 2m, perturbed. The paper bounds its
+    spurious classes below by 2^{2(k - 1)} - 1."""
+    m = k + 1
+    s = list(range(1, m))
     g = bmland.BlockSparsityGraph(
-        4,
-        frozenset({(1, 4), (2, 4), (3, 4), (1, 1), (2, 2), (3, 3)}),
-        frozenset({(1, 2), (2, 3)}),
+        m,
+        frozenset({(i, m) for i in s} | {(i, i) for i in s}),
+        frozenset({(i, i + 1) for i in s[:-1]}),
     )
-    s = [1, 2, 3]
-    omega = bmland.induce_measurement_set(g, 8, 2)
-    x0 = bmland.build_canonical_ground_truth(g, s, 8, 2)
+    omega = bmland.induce_measurement_set(g, 2 * m, 2)
+    x0 = bmland.build_canonical_ground_truth(g, s, 2 * m, 2)
     x = bmland.perturb(x0, gamma, seed) if gamma else x0
     return bmland.assemble_instance(x, omega, g, s)
+
+
+def star_rank2_instance(gamma=0.05, seed=13):
+    """m=4 star with hub 4, self-loops and a connected off-diagonal tree on
+    S={1,2,3}; rank-2 canonical ground truth, perturbed: ladder rung 3."""
+    return star_ladder(3, gamma, seed)
 
 
 def random_instance(rng, n_max=30):

@@ -268,3 +268,16 @@ def test_polished_start_lands_in_class_of_its_full_cap_endpoint():
     assert report.n_polished == np.count_nonzero(handoff.polished) > 0
     assert np.all(handoff.converged[full.converged])
     assert np.array_equal(classes(handoff.points), classes(full.points))
+
+
+def test_star_ladder_rung_four_meets_its_exponential_bound():
+    # The paper's count grows as 2^{r(|S| - 1)} - 1: rung |S| = 4 of the
+    # star ladder has 63 spurious classes against acceptance 04's 15 at
+    # |S| = 3. Its least-hit spurious class takes about 1% of these starts.
+    inst = helpers.star_ladder(4, 0.05, 13)
+    report = bmland.multistart_census(
+        inst, L2, 5000, seed=99, cfg=GdConfig(max_iters=15000), threads=2
+    )
+    bound = bmland.check_lower_bound(report, inst.graph, inst.r, s_vertices=inst.s_vertices)
+    assert bound == {"bound": 63, "found": 63, "satisfied": True}
+    assert report.global_classes == 1

@@ -69,7 +69,8 @@ def test_graph_validation_errors():
 def test_measurement_set_symmetry_and_mask():
     g = bmland.build_named_pattern("example1_path", n=4)
     omega = bmland.induce_measurement_set(g, 4, 1)
-    assert all((j, i) in omega.entries for (i, j) in omega.entries)
+    entries = set(map(tuple, omega.to_json()))
+    assert all((j, i) in entries for (i, j) in entries)
     assert np.array_equal(omega.mask(), omega.mask().T)
     assert len(omega) == int(omega.mask().sum())
 
@@ -79,15 +80,30 @@ def test_measurement_set_row_lists():
     omega = bmland.induce_measurement_set(bmland.build_named_pattern("example1_path", n=8), 8, 1)
     assert not omega.dense
     assert omega.cols.tolist()[:2] == [[0, 1, 8], [0, 1, 2]]  # 8 pads row 0
-    assert omega.valid.tolist()[:2] == [[1, 1, 0], [1, 1, 1]]
-    mask = np.zeros((8, 8))
-    for i, (cols, valid) in enumerate(zip(omega.cols, omega.valid)):
-        mask[i, cols[valid > 0]] = 1
-    assert np.array_equal(mask, omega.mask()) and len(omega) == int(omega.valid.sum())
-    # Largest degree 3 > 4 / 2: the identity layout, with the mask as valid.
+    assert np.array_equal(omega.cols, _lists_of(omega.mask()))
+    assert len(omega) == int(np.count_nonzero(omega.cols < 8))
+    # Largest degree 3 > 4 / 2: the kernel is dense, and the lists are still
+    # the true ones, padded with column 4.
     small = bmland.induce_measurement_set(bmland.build_named_pattern("example1_path", n=4), 4, 1)
-    assert small.dense and small.cols.tolist() == [list(range(4))] * 4
-    assert np.array_equal(small.valid, small.mask())
+    assert small.dense
+    assert small.cols.tolist() == [[0, 1, 4], [0, 1, 2], [1, 2, 3], [2, 3, 4]]
+    assert np.array_equal(small.cols, _lists_of(small.mask()))
+    # The dense flag holds iff 2d > n, d the largest row degree.
+    for n in (2, 3, 4, 5, 8):
+        path = bmland.induce_measurement_set(bmland.build_named_pattern("example1_path", n=n), n, 1)
+        assert path.dense == (2 * path.cols.shape[1] > n) == (n <= 5)
+    full = bmland.full_measurement_set(3)
+    assert full.dense and full.cols.tolist() == [[0, 1, 2]] * 3
+
+
+def _lists_of(mask):
+    """Each row's observed columns in increasing order, padded with n to the
+    largest row degree, and checked to hold every observed entry once."""
+    n = len(mask)
+    rows = [np.nonzero(row)[0].tolist() for row in mask]
+    d = max(map(len, rows), default=0)
+    assert sum(map(len, rows)) == int(np.count_nonzero(mask))
+    return np.array([row + [n] * (d - len(row)) for row in rows], dtype=int).reshape(n, d)
 
 
 def test_trailing_rows_fully_observed():

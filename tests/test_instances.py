@@ -116,7 +116,7 @@ def test_membership_requires_graph():
 
 
 def test_incoherence_values():
-    omega = bmland.full_measurement_set(4, r=4)
+    omega = bmland.full_measurement_set(4)
     ident = bmland.assemble_instance(np.eye(4), omega)
     assert np.isclose(bmland.compute_incoherence(ident), 1.0)
 

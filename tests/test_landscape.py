@@ -100,11 +100,11 @@ def _on_mask(mask, r, seed=0, gamma=0.3):
     """Instance with a generic factor observed on an arbitrary symmetric mask."""
     n = len(mask)
     x = np.random.default_rng(seed).standard_normal((n, r))
-    return bmland.assemble_instance(x * gamma, bmland.MeasurementSet(n, r, mask))
+    return bmland.assemble_instance(x * gamma, bmland.MeasurementSet(n, mask))
 
 
 def _pattern(name, r):
-    """(instance, whether its row lists are the identity layout)."""
+    """(instance, whether its kernel forms dense products)."""
     if name == "path-sparse":
         g = bmland.build_named_pattern("example1_path", n=8)
         dense = False
@@ -140,7 +140,7 @@ def _dense_reference(inst, loss, X):
 def _target_stack(insts, group):
     """The targets of ``insts[g]`` for each g in ``group``, stacked as the
     kernel reads per-point targets: batch-last, (d, n, b), on the row lists,
-    and (b, n, n) on the identity layout."""
+    and (b, n, n) where the kernel is dense."""
     targets = [inst.observed_targets() for inst in insts]
     if insts[0].omega.dense:
         return np.stack(targets)[group]
@@ -159,7 +159,7 @@ def test_kernel_matches_dense_reference(name, r, loss):
     inst, dense = _pattern(name, r)
     d = int(inst.omega.mask().sum(axis=1).max())
     assert inst.omega.dense == dense == (2 * d > inst.n)
-    assert inst.omega.cols.shape == (inst.n, inst.n if dense else d)
+    assert inst.omega.cols.shape == (inst.n, d)
     X = np.random.default_rng(r).standard_normal((5, inst.n, inst.r))
     _assert_close(*bmland.value_and_gradient(inst, loss, X), *_dense_reference(inst, loss, X))
     # The targets are the kernel's own products: the truth is an exact zero.

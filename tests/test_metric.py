@@ -74,6 +74,29 @@ def test_gram_separation_matches_dense(inst):
     assert np.all(d == 0.0) and np.all(grad == 0.0)
 
 
+def _path_rank2_instance():
+    """The n = 8 path at r = 2 (n = 16), a rank-2 Omega on row lists of width 6."""
+    g = bmland.build_named_pattern("example1_path", n=8)
+    x = bmland.random_block_factor(8, 2, seed=6)
+    return bmland.assemble_instance(x, bmland.induce_measurement_set(g, 16, 2), g)
+
+
+@pytest.mark.parametrize(
+    "inst, dense", zip(INSTANCES + [_path_rank2_instance()], (True, True, False)),
+    ids=["path-r1", "star-r2", "path-r2"],
+)
+def test_pair_fit_residual_exact_at_truth(inst, dense):
+    # Whichever arithmetic the kernel uses on Omega, the fit residual reads M*
+    # on the observed entries by its own products: an exact 0 at X1 = x*.
+    assert inst.omega.dense == dense
+    X2 = np.random.default_rng(7).standard_normal((3, inst.n, inst.r))
+    Z = np.concatenate([np.broadcast_to(inst.x_star, X2.shape), X2], axis=-1)
+    res = _PairPenalty(inst, 1.0, 1.0, 1.0, 1.0).residuals(Z)[0]
+    m = len(inst.omega)
+    assert res.shape == (3, 2 * m + 1)
+    assert np.all(res[:, :m] == 0.0) and np.all(res[:, m:-1] != 0.0)
+
+
 @pytest.mark.parametrize("inst", INSTANCES)
 def test_pair_residual_jacobian_finite_difference(inst):
     Z, separation = _random_pairs(inst, 6, seed=4)

@@ -158,7 +158,7 @@ def test_stacked_instances_match_each_block_alone(monkeypatch):
 @pytest.mark.parametrize("r", [1, 2])
 def test_row_list_descent_independent_of_stack(monkeypatch, r):
     # Omega of a path with n = 8 blocks has row lists of width 3r <= 8r / 2,
-    # so the descent runs on the row-list kernel, not the identity layout.
+    # so the descent runs on the row-list kernel, not the dense one.
     g = bmland.build_named_pattern("example1_path", n=8)
     omega = bmland.induce_measurement_set(g, 8 * r, r)
     a = bmland.assemble_instance(bmland.random_block_factor(8, r, seed=1), omega, g)
@@ -281,6 +281,12 @@ def test_stack_rejects_mismatched_instances():
         run_batch_chunked([a, a], L2, [X], GdConfig())
     with pytest.raises(DimensionMismatch, match="share"):
         run_batch_chunked([a, b], L2, [X, X], GdConfig())
+    # Same n and r, and Omega differs in one symmetric pair.
+    mask = a.omega.mask().copy()
+    mask[0, 3] = mask[3, 0] = 1.0
+    c = bmland.assemble_instance(a.x_star, bmland.MeasurementSet(4, mask))
+    with pytest.raises(DimensionMismatch, match="share"):
+        run_batch_chunked([a, c], L2, [X, X], GdConfig())
 
 
 def test_chunk_plan_covers_stack_in_near_equal_chunks():
@@ -319,9 +325,10 @@ def test_chunk_plan_of_product_sizes():
     def sizes(B, n, d, threads):
         return list(np.diff(optimize._chunk_bounds(B, n, d, threads)))
 
-    # The sweep (Erdos-Renyi, d = 8 of n = 20) and the rank-2 census (identity
-    # layout) get a chunk per worker, the metric's 30-start census (path,
-    # d = 3) stays whole, and a stack over the row cap is cut by it.
+    # The sweep (Erdos-Renyi, d = 8 of n = 20) and the rank-2 census (dense
+    # kernel, width n = 8) get a chunk per worker, the metric's 30-start
+    # census (path, d = 3) stays whole, and a stack over the row cap is cut
+    # by it.
     assert sizes(300, 20, 8, 2) == [150, 150]
     assert sizes(500, 8, 8, 2) == [250, 250] and sizes(500, 8, 8, 1) == [500]
     assert sizes(30, 6, 3, 2) == [30]
@@ -330,21 +337,28 @@ def test_chunk_plan_of_product_sizes():
     assert sizes(300, 20, 8, 4) == [150, 150]
     assert len(sizes(50_000, 8, 8, 4)) == 13
     # A rank-1 path at n = 800 has rows of 3 entries: the byte budget allows
-    # 3495 rows a chunk, against 13 on the (n, n) identity layout.
+    # 3495 rows a chunk, against 13 where the kernel is dense, of width n.
     assert sizes(3495, 800, 3, 1) == [3495] and sizes(3496, 800, 3, 1) == [1748, 1748]
     assert sizes(13, 800, 800, 1) == [13] and sizes(14, 800, 800, 1) == [7, 7]
 
 
 def test_chunk_rows_capped_by_memory_budget(monkeypatch):
-    for n, d in ((4, 4), (8, 3)):  # the identity layout and row lists
+    # Both paths have row lists of width 3. At n = 4 the kernel is dense, so
+    # its temporaries are (rows, n, n) and the chunks are sized by width n.
+    chunk_bounds = optimize._chunk_bounds
+    for n, d in ((4, 4), (8, 3)):
         inst = helpers.path_instance(n)
-        assert inst.omega.cols.shape == (n, d)
+        assert inst.omega.cols.shape == (n, 3) and inst.omega.dense == (n == 4)
         X0 = bmland.sample_radial_init("gaussian", n, 1, seed=2, size=10)
         monkeypatch.setattr(optimize, "CHUNK_BUDGET_BYTES", 3 * 8 * n * d)  # three (n, d) arrays
         for threads in (1, 2):
-            assert list(np.diff(optimize._chunk_bounds(10, n, d, threads))) == [2, 3, 2, 3]
+            assert list(np.diff(chunk_bounds(10, n, d, threads))) == [2, 3, 2, 3]
+        seen = []
+        monkeypatch.setattr(optimize, "_chunk_bounds", lambda *a: seen.append(a) or chunk_bounds(*a))
         one = run_batch_chunked(inst, L2, X0, GdConfig(), threads=1)
         two = run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
+        monkeypatch.setattr(optimize, "_chunk_bounds", chunk_bounds)
+        assert seen == [(10, n, d, 1), (10, n, d, 2)]
         for other in (two, optimize._descend(*optimize._stack(inst, X0), L2, GdConfig())):
             for field in dataclasses.fields(one):
                 assert np.array_equal(getattr(one, field.name), getattr(other, field.name))
@@ -439,7 +453,7 @@ def _reference_refine(inst, loss, x):
 
 @pytest.mark.parametrize("inst", [helpers.path_instance(8, 0.05, 2), helpers.star_rank2_instance()])
 def test_newton_refine_matches_reference_loop(inst):
-    # Omega's row lists at rank 1 and the identity layout at rank 2, with and
+    # The row-list kernel at rank 1 and the dense kernel at rank 2, with and
     # without the regularizer. The points take different numbers of steps,
     # so the stack shrinks as they finish.
     X = _coarse_endpoints(inst, 12, 4, 2000)
@@ -501,11 +515,29 @@ def test_newton_refine_memory_bounded_by_chunk_budget(monkeypatch):
     assert peak < 10 * budget + 10 * X.nbytes
 
 
-def test_polished_descent_takes_one_instance():
-    insts = [helpers.path_instance(4), helpers.path_instance(4, gamma=0.05, seed=1)]
-    X0 = bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=8)
-    with pytest.raises(DimensionMismatch, match="polish takes one instance"):
-        run_batch_chunked(insts, L2, [X0, X0], GdConfig(max_iters=400), polish=True)
+def test_polished_stacked_instances_match_each_start_alone(monkeypatch):
+    # Two instances over one Omega, 7 and 5 starts, in chunks of 4 rows: the
+    # second chunk holds starts of both, and each chunk polishes one stack
+    # per instance.
+    graph = bmland.build_named_pattern("example1_path", n=8)
+    omega = bmland.induce_measurement_set(graph, 8, 1)
+    insts = [bmland.assemble_instance(bmland.random_block_factor(8, 1, seed=s), omega, graph) for s in (1, 2)]
+    blocks = [bmland.sample_radial_init("gaussian", 8, 1, seed=s, size=k) for s, k in ((5, 7), (6, 5))]
+    cfg = GdConfig(max_iters=1000)
+    monkeypatch.setattr(optimize, "CHUNK_ROWS", 4)
+    assert list(optimize._chunk_bounds(12, 8, 3, 2)) == [0, 4, 8, 12]
+    alone = [
+        run_batch_chunked(inst, L2, block[k : k + 1], cfg, polish=True)
+        for inst, block in zip(insts, blocks)
+        for k in range(len(block))
+    ]
+    for threads in (1, 2):
+        res = run_batch_chunked(insts, L2, blocks, cfg, threads=threads, polish=True)
+        for k, one in enumerate(alone):
+            for f in dataclasses.fields(one):
+                assert np.array_equal(getattr(res, f.name)[k], getattr(one, f.name)[0]), (threads, k, f.name)
+    # The chunk that spans the boundary polishes starts of both instances.
+    assert res.polished[4:7].any() and res.polished[7]
 
 
 def test_newton_refine_polishes_cross_pattern_endpoints():
