@@ -105,8 +105,8 @@ def _endpoints(inst, loss, n_starts, seed, cfg=None, dist="gaussian", sigma=1.0,
     ``cfg.max_iters`` counts toward no class."""
     if n_starts < 1:
         raise DimensionMismatch("n_starts must be >= 1")
-    if not dedup_radius > 0:
-        raise DimensionMismatch(f"dedup_radius must be positive, got {dedup_radius!r}")
+    if not 0 < dedup_radius < np.inf:
+        raise DimensionMismatch(f"dedup_radius must be positive and finite, got {dedup_radius!r}")
     cfg = cfg or GdConfig()
     X0 = sample_radial_init(
         dist, inst.n, inst.r, seed, sigma=sigma, radius=radius, size=n_starts

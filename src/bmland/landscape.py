@@ -14,10 +14,9 @@ elementwise product at r = 1, otherwise a batched matmul with a contiguous
 copy of X^T as its right operand, ``MeasurementSet.dense_products``), with an
 einsum value. On the row lists it gathers the observed rows and works
 neighbor-major and batch-last, on (d, n, b) arrays for a stack of b points,
-and its value is numpy's pairwise sum of each point's squared residuals:
-summed across the stack in elementwise adds when the stack has at least
-``STACK_SUM_ROWS`` points, one row per point below that. Either way the
-observed targets are the kernel's own products of the ground truth
+and sums both the gradient and the value by pairwise halving in elementwise
+adds, the same way for a point alone as in a stack. Either way the observed
+targets are the kernel's own products of the ground truth
 (``McInstance.observed_targets``), so the residual at the truth is an exact
 zero. It broadcasts over leading batch axes, so a stack of factors of shape
 (B, n, r) is processed in one call, and so do the orbit maps
@@ -26,10 +25,10 @@ zero. It broadcasts over leading batch axes, so a stack of factors of shape
 batch-last on the row lists, so one descent can carry the starts of several
 instances over one Omega. Each point's result has the same bits whatever
 stack it is part of. On the row lists the kernel writes its large per-step
-arrays (padded rows, gathered rows, residual, squared residual) into a
-caller's ``StepBuffers``, or into its own when given none; one descent call
-passes one set to every step, so the kernel reuses the same pages from step
-to step.
+arrays (padded rows, gathered rows, residual) into a caller's
+``StepBuffers``, or into its own when given none; one descent call passes
+one set to every step, so the kernel reuses the same pages from step to
+step.
 ``masked_residual`` and the Hessian routines work on the dense mask;
 ``dense_hessian`` and ``min_hessian_eigen`` take a point or a stack, and a
 point's Hessian has the same bits alone as in a stack.
@@ -46,15 +45,6 @@ from .graphs import MeasurementSet, StepBuffers
 from .instances import McInstance
 
 SIGN_TOL = 1e-9
-# The fewest points of a stack whose row-list value is summed across the
-# stack (``_stack_pairwise_sum``) rather than one contiguous row per point;
-# both give the same bits. The row sums cost about b calls of numpy's
-# reduction loop, the stack sum about L / 8 + 10 elementwise adds of b
-# entries. Squaring and summing (d, n, b) residuals with n d = L entries per
-# point (numpy 2.4.6, one core of a 2-core x86 VM), the stack sum was the
-# faster from b = 192 at L = 18 and 24, and from b = 128 at L = 160, 216 and
-# 1440; at b = 128 and L = 18 the row sums took 15-17 us against 17-20 us.
-STACK_SUM_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -71,8 +61,8 @@ class LossSpec:
     @classmethod
     def l2_regularized(cls, lam: float, alpha: float) -> "LossSpec":
         # Written so that NaN fails too.
-        if not lam > 0 or not alpha > 0:
-            raise DimensionMismatch("lambda and alpha must be positive")
+        if not 0 < lam < np.inf or not 0 < alpha < np.inf:
+            raise DimensionMismatch("lambda and alpha must be positive and finite")
         return cls(lam=lam, alpha=alpha)
 
     @property
@@ -153,16 +143,14 @@ def _row_list_terms(
     over k adds contiguous (n, r, b) slabs. ``target`` is the (d, n)
     ``observed_targets`` of one instance, or a (d, n, b) stack of them, one
     per point. Each entry of R and of the gradient is an elementwise sum in
-    a fixed order, and the value is numpy's pairwise sum of one point's R^2
-    as one contiguous row of n d entries in (i, k) order, so a point's bits
-    do not depend on the stack around it. A stack of at least
-    ``STACK_SUM_ROWS`` points takes that sum across the stack
-    (``_stack_pairwise_sum``); a smaller one sums each point's row.
+    a fixed order, and the value is the ``_halving_sum`` of a point's n d
+    squares R^2 in (k, i) order, squared in place once the gradient is
+    formed, so a point's bits do not depend on the stack around it.
 
-    The padded rows, the gathered rows, the residual and its squares are
-    views of ``bufs`` (``StepBuffers``), so a caller that passes one set to
-    every call, as a descent does, reuses their pages; without it the call
-    makes its own. The value and gradient come back as fresh arrays."""
+    The padded rows, the gathered rows and the residual are views of
+    ``bufs`` (``StepBuffers``), so a caller that passes one set to every
+    call, as a descent does, reuses their pages; without it the call makes
+    its own. The value and gradient come back as fresh arrays."""
     bufs = StepBuffers() if bufs is None else bufs
     lead, (n, r) = X.shape[:-2], X.shape[-2:]
     Xg, R = omega.row_products(X.reshape(-1, n, r), bufs)
@@ -170,54 +158,23 @@ def _row_list_terms(
     R -= target[..., None] if target.ndim == 2 else target
     if d:
         # Row i of the gradient sums R[i, k] Xg[k, i] over k: the products
-        # are formed in place, then summed by pairwise halving.
+        # are formed in place, then summed by pairwise halving. Nothing reads
+        # R after that, so it is squared in place and summed the same way.
         Xg *= R[:, :, None]
         G = _halving_sum(Xg).transpose(2, 0, 1).copy()
+        R *= R
+        val = _halving_sum(R.reshape(d * n, b)).copy()
     else:
-        G = np.zeros((b, n, r))
-    if b >= STACK_SUM_ROWS:
-        sq = bufs.take("sq", (n, d, b))
-        np.square(R.transpose(1, 0, 2), out=sq)
-        val = _stack_pairwise_sum(sq.reshape(n * d, b))
-    else:
-        sq = bufs.take("sq", (b, n, d))
-        np.square(R.transpose(2, 1, 0), out=sq)
-        val = sq.reshape(b, n * d).sum(axis=-1)
+        G, val = np.zeros((b, n, r)), np.zeros(b)
     return val.reshape(lead), G.reshape(lead + (n, r))
-
-
-def _stack_pairwise_sum(A: np.ndarray) -> np.ndarray:
-    """Sum of an (L, b) array over its first axis, each column in the order
-    in which ``np.add.reduce`` sums one contiguous row of L float64 entries
-    (numpy's pairwise sum), but in elementwise adds across the columns. Under
-    8 entries it adds them in order, from 0; up to 128 it keeps 8 running
-    sums over blocks of 8, combines them as ((s0 + s1) + (s2 + s3)) +
-    ((s4 + s5) + (s6 + s7)) and adds the rest in order; above 128 it adds
-    the sums of the two halves split at the multiple of 8 at or below L/2."""
-    L = len(A)
-    if L < 8:
-        s = np.zeros(A.shape[1:])
-        for a in A:
-            s += a
-        return s
-    if L <= 128:
-        m = L - L % 8
-        s = np.add.reduce(A[:m].reshape(m // 8, 8, -1), axis=0)
-        s = s[0::2] + s[1::2]
-        s = s[0::2] + s[1::2]
-        s = s[0] + s[1]
-        for a in A[m:]:
-            s += a
-        return s
-    h = L // 2
-    h -= h % 8
-    return _stack_pairwise_sum(A[:h]) + _stack_pairwise_sum(A[h:])
 
 
 def _halving_sum(A: np.ndarray) -> np.ndarray:
     """Sum of A over its first, nonempty axis by pairwise halving, in place
     and in elementwise adds only, so that each entry's bits do not depend on
-    the sizes of the other axes."""
+    the sizes of the other axes: the row-list kernel's sum of the gradient
+    over a row's neighbors, and of a point's squared residuals. Its error
+    bound is O(eps log L) for L terms, as for numpy's pairwise sum."""
     while len(A) > 1:
         h, odd = divmod(len(A), 2)
         A[:h] += A[h : 2 * h]

@@ -143,8 +143,8 @@ def estimate_complexity_metric(
     """Best polished pair, an upper bound on the ambiguity distance of the
     observed entries; monotone non-increasing in the restart budget at fixed seed."""
     # Written so that NaN fails too.
-    if separation is not None and not separation > 0:
-        raise DimensionMismatch(f"separation must be positive, got {separation!r}")
+    if separation is not None and not 0 < separation < np.inf:
+        raise DimensionMismatch(f"separation must be positive and finite, got {separation!r}")
     if separation is None:
         separation = 1e-3 * float(np.linalg.norm(inst.m_star()))
     reps = _endpoints(inst, LossSpec.l2(), budget.restarts, seed, threads=threads)[0]

@@ -107,7 +107,9 @@ class Classification(str, enum.Enum):
 @dataclass(frozen=True)
 class GdConfig:
     """step/grad_tol/divergence_bound of None are resolved per instance; a
-    given value must be positive."""
+    given step or grad_tol must be positive and finite, a given
+    divergence_bound positive, with +inf for no bound. max_iters is an
+    integer >= 1."""
 
     step: float | None = None
     max_iters: int = 200_000
@@ -115,13 +117,15 @@ class GdConfig:
     divergence_bound: float | None = None
 
     def __post_init__(self):
-        for name in ("step", "grad_tol", "divergence_bound"):
+        # The checks are written so that NaN fails too.
+        for name in ("step", "grad_tol"):
             value = getattr(self, name)
-            # Written so that NaN fails too.
-            if value is not None and not value > 0:
-                raise DimensionMismatch(f"{name} must be positive, got {value!r}")
-        if self.max_iters < 1:
-            raise DimensionMismatch("max_iters must be >= 1")
+            if value is not None and not 0 < value < np.inf:
+                raise DimensionMismatch(f"{name} must be positive and finite, got {value!r}")
+        if self.divergence_bound is not None and not self.divergence_bound > 0:
+            raise DimensionMismatch(f"divergence_bound must be positive, got {self.divergence_bound!r}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise DimensionMismatch(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
     def resolved(self, inst: McInstance) -> "GdConfig":
         scale = inst.omega_scale()
@@ -142,12 +146,12 @@ def sample_radial_init(
     b = 1 if size is None else size
     # The checks are written so that NaN fails too.
     if dist == "gaussian":
-        if not sigma > 0:
-            raise DimensionMismatch(f"sigma must be positive, got {sigma!r}")
+        if not 0 < sigma < np.inf:
+            raise DimensionMismatch(f"sigma must be positive and finite, got {sigma!r}")
         out = sigma * rng.standard_normal((b, n, r))
     elif dist == "ball":
-        if not radius > 0:
-            raise DimensionMismatch(f"radius must be positive, got {radius!r}")
+        if not 0 < radius < np.inf:
+            raise DimensionMismatch(f"radius must be positive and finite, got {radius!r}")
         direction = rng.standard_normal((b, n, r))
         direction /= np.linalg.norm(direction, axis=(1, 2), keepdims=True)
         u = rng.random((b, 1, 1))
@@ -201,14 +205,14 @@ def descend_batch(
     array object from call to call until the working set changes, so a
     caller can gather its per-sample data once per working set.
 
-    The value is kept monotone per sample: a step that would increase it is
-    rejected and the sample's step size halved; a sample's step grows by
-    ``STEP_GROWTH`` after ``STEP_GROWTH_EVERY`` accepted steps, up to
-    ``STEP_GROWTH_CAP`` times its initial step, so late linear convergence is
-    not throttled by a conservative initial bound. Each step makes one
-    ``value_and_grad`` call, on the samples still running: the working set is
-    compacted whenever samples retire, and a retiring sample's result is
-    written out then. A sample's result does not depend on the rest of the
+    The value is kept monotone per sample: a step that would increase it, or
+    make it NaN, is rejected and the sample's step size halved; a sample's
+    step grows by ``STEP_GROWTH`` after ``STEP_GROWTH_EVERY`` accepted steps,
+    up to ``STEP_GROWTH_CAP`` times its initial step, so late linear
+    convergence is not throttled by a conservative initial bound. Each step
+    makes one ``value_and_grad`` call, on the samples still running: the
+    working set is compacted whenever samples retire, and a retiring
+    sample's result is written out then. A sample's result does not depend on the rest of the
     stack.
 
     A sample ends ``Converged`` at its ``grad_tol``, ``Diverged`` once an
@@ -264,7 +268,8 @@ def descend_batch(
         Xnew = steps[:, None, None] * G
         np.subtract(X, Xnew, out=Xnew)
         fnew, Gnew = value_and_grad(Xnew, idx)
-        increased = fnew > f
+        # Written so that a NaN value is rejected too.
+        increased = ~(fnew <= f)
         rejected = np.count_nonzero(increased)
         if rejected:
             # A rejected sample keeps its state: only its rows are copied.

@@ -48,7 +48,7 @@ def test_census_rejects_zero_starts():
         bmland.multistart_census(inst, L2, 0, seed=1)
 
 
-@pytest.mark.parametrize("radius", [0.0, -1e-4, float("nan")])
+@pytest.mark.parametrize("radius", [0.0, -1e-4, float("nan"), float("inf")])
 def test_census_rejects_nonpositive_dedup_radius(radius):
     inst = helpers.path_instance(4)
     with pytest.raises(DimensionMismatch, match="dedup_radius"):

@@ -170,6 +170,17 @@ def test_invalid_reg_lambda_exit_code(tmp_path, capsys, lam):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, field", [("descend", "step"), ("metric", "separation")])
+def test_infinite_setting_exit_code(tmp_path, capsys, command, field):
+    # JSON reads 1e400 as inf: descend used to write Infinity and NaN tokens,
+    # and metric searched on NaN residuals, both exiting 0.
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(_base_cfg(n_starts=20))[:-1] + f', "{field}": 1e400}}')
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

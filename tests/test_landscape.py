@@ -40,8 +40,9 @@ def test_regularizer_inactive_below_alpha():
     assert bmland.objective(inst, reg, X) == pytest.approx(bmland.objective(inst, L2, X))
     tight = LossSpec.l2_regularized(2.0, 0.01)
     assert bmland.objective(inst, tight, X) > bmland.objective(inst, L2, X)
-    # NaN used to give a spec whose regularizer was silently inactive.
-    for lam, alpha in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)):
+    # NaN used to give a spec whose regularizer was silently inactive, and an
+    # infinite lambda gives a NaN value.
+    for lam, alpha in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
         with pytest.raises(DimensionMismatch):
             LossSpec.l2_regularized(lam, alpha)
 
@@ -208,12 +209,12 @@ def test_kernel_point_bits_independent_of_stack(name, r):
 
 @pytest.mark.parametrize("r", [1, 3])
 @pytest.mark.parametrize("name", ["path-sparse", "er-sparse", "diagonal", "empty"])
-def test_kernel_stack_sum_matches_each_point_alone(name, r):
-    # A stack of STACK_SUM_ROWS points or more sums each point's value across
-    # the stack, a point alone sums its own row; the n d entries per point
-    # are 24 and 216 (path), 160 and 1440 (Erdos-Renyi), 5 and 45 (diagonal
+def test_kernel_point_bits_same_in_stacks_of_any_size(name, r):
+    # The value and the gradient are summed by the same halving for a point
+    # alone as in a stack, whatever its size; the n d entries per point are
+    # 24 and 216 (path), 160 and 1440 (Erdos-Renyi), 5 and 45 (diagonal
     # blocks: row lists of width 1 and 3) and 0 (empty, d = 0).
-    from bmland.landscape import STACK_SUM_ROWS, _value_and_gradient
+    from bmland.landscape import _value_and_gradient
 
     if name == "diagonal":
         inst = _on_mask(np.eye(5, dtype=bool) if r == 1 else np.kron(np.eye(5), np.ones((3, 3))) > 0, r)
@@ -223,16 +224,17 @@ def test_kernel_stack_sum_matches_each_point_alone(name, r):
         inst = _pattern(name, r)[0]
     other = bmland.assemble_instance(2.0 * inst.x_star, inst.omega, inst.graph)
     assert not inst.omega.dense
-    b = STACK_SUM_ROWS + 5
-    X = np.random.default_rng(r).standard_normal((b, inst.n, inst.r))
-    group = np.arange(b) % 3 == 1
-    stacked = bmland.value_and_gradient(inst, L2, X)
-    mixed = _value_and_gradient(inst.omega, _target_stack((inst, other), group.astype(int)), L2, X)
-    for k in range(b):
-        val, G = bmland.value_and_gradient(other if group[k] else inst, L2, X[k])
-        assert mixed[0][k] == val and np.array_equal(mixed[1][k], G)
-        if not group[k]:
-            assert stacked[0][k] == val and np.array_equal(stacked[1][k], G)
+    X = np.random.default_rng(r).standard_normal((261, inst.n, inst.r))
+    group = np.arange(261) % 3 == 1
+    alone = [bmland.value_and_gradient(other if g else inst, L2, x) for g, x in zip(group, X)]
+    for b in (1, 255, 256, 261):
+        stacked = bmland.value_and_gradient(inst, L2, X[:b])
+        mixed = _value_and_gradient(inst.omega, _target_stack((inst, other), group[:b].astype(int)), L2, X[:b])
+        for k in range(b):
+            val, G = alone[k]
+            assert mixed[0][k] == val and np.array_equal(mixed[1][k], G)
+            if not group[k]:
+                assert stacked[0][k] == val and np.array_equal(stacked[1][k], G)
     _assert_close(*stacked, *_dense_reference(inst, L2, X))
 
 

@@ -45,7 +45,7 @@ def test_budget_validation():
     with pytest.raises(DimensionMismatch):
         bmland.MetricBudget(iters=0)
     inst = helpers.path_instance(4)
-    for bad in (-1.0, 0.0, float("nan")):
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(DimensionMismatch, match="separation"):
             bmland.estimate_complexity_metric(inst, bmland.MetricBudget(), separation=bad)
 

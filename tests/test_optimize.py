@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bmland
-from bmland import Classification, GdConfig, Status, landscape, optimize
+from bmland import Classification, GdConfig, Status, optimize
 from bmland.errors import DimensionMismatch, NotNearCritical, ValidationError
 from bmland.optimize import run_batch_chunked
 
@@ -35,7 +35,7 @@ def test_sample_ball_within_radius():
 
 
 def test_sample_init_rejects_bad_params():
-    for bad in (-1.0, 0.0, float("nan")):
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(DimensionMismatch, match="sigma"):
             bmland.sample_radial_init("gaussian", 4, 1, seed=0, sigma=bad)
         with pytest.raises(DimensionMismatch, match="radius"):
@@ -76,14 +76,17 @@ def test_gd_config_validation():
         GdConfig(step=-1.0)
     with pytest.raises(DimensionMismatch):
         GdConfig(grad_tol=0.0)
-    with pytest.raises(DimensionMismatch):
-        GdConfig(max_iters=0)
+    for bad in (0, 2.5, 1e4):
+        with pytest.raises(DimensionMismatch, match="max_iters"):
+            GdConfig(max_iters=bad)
     # A non-positive divergence bound would mark every start diverged at
-    # iteration 0, and NaN compares false against every bound.
+    # iteration 0, and NaN compares false against every bound; +inf is no
+    # bound, but an infinite step or grad_tol is not a setting.
     for name in ("step", "grad_tol", "divergence_bound"):
-        for bad in (-1.0, 0.0, float("nan")):
+        for bad in (-1.0, 0.0, float("nan")) + ((float("inf"),) if name != "divergence_bound" else ()):
             with pytest.raises(DimensionMismatch, match=name):
                 GdConfig(**{name: bad})
+    assert GdConfig(divergence_bound=float("inf")).divergence_bound == float("inf")
 
 
 def test_chunked_runner_invariant_to_threads(monkeypatch):
@@ -211,7 +214,7 @@ def _reference_descent(value_and_grad, x0, step0, max_iters, grad_tol, bound):
         xnew = x - step * g
         fnew, gnew = (a[0] for a in value_and_grad(xnew[None], None))
         flat = 0 if fnew < f else flat + 1
-        if fnew > f:
+        if not fnew <= f:
             step, accepted, halvings = step * 0.5, 0, halvings + 1
         else:
             x, f, g, accepted = xnew, fnew, gnew, accepted + 1
@@ -271,6 +274,19 @@ def test_descend_batch_stops_when_last_start_retires():
     assert list(res.status) == [Status.STALLED] * 3
     assert list(res.iters) == [optimize.STALL_LIMIT] * 3
     assert len(calls) == 1 + optimize.STALL_LIMIT
+
+
+def test_descend_batch_rejects_nan_value():
+    # ||X||^2, NaN past |x| = 10: from 1 a step of 100 lands on -199, so the
+    # step is rejected and halved until it lands inside, and the start
+    # converges instead of carrying a NaN point until it stalls.
+    def value_and_grad(X, idx):
+        inside = np.abs(X).max(axis=(1, 2)) <= 10.0
+        return np.where(inside, optimize._sq_norms(X), np.nan), np.where(inside[:, None, None], 2.0 * X, np.nan)
+
+    res = optimize.descend_batch(value_and_grad, np.ones((1, 1, 1)), np.full(1, 100.0), 2000, 1e-9, np.inf)
+    assert list(res.status) == [Status.CONVERGED] and res.iters[0] < optimize.STALL_LIMIT
+    assert np.isfinite(res.points).all() and res.values[0] < 1e-18
 
 
 def test_stack_rejects_mismatched_instances():
@@ -708,11 +724,9 @@ def test_polished_descent_keeps_polish_progress_within_bound(monkeypatch):
         assert np.array_equal(getattr(res, name), getattr(plain, name)), name
 
 
-def test_polished_mixed_stack_across_stack_sum_rule_matches_each_start_alone(monkeypatch):
-    # The rule is lowered so that a small stack crosses it: 40 starts of two
-    # instances begin above it and fall below it as starts retire, and the
+def test_polished_mixed_stack_matches_each_start_alone():
+    # 40 starts of two instances retire over several rounds, and the
     # kernel's per-start targets are gathered again at each compaction.
-    monkeypatch.setattr(landscape, "STACK_SUM_ROWS", 32)
     graph = bmland.build_named_pattern("example1_path", n=8)
     omega = bmland.induce_measurement_set(graph, 8, 1)
     insts = [bmland.assemble_instance(bmland.random_block_factor(8, 1, seed=s), omega, graph) for s in (1, 2)]
@@ -725,6 +739,5 @@ def test_polished_mixed_stack_across_stack_sum_rule_matches_each_start_alone(mon
         one = optimize._descend([insts[group[k]]], X0[k : k + 1], np.zeros(1, dtype=int), L2, cfg, polish=True)
         for f in dataclasses.fields(one):
             assert np.array_equal(getattr(res, f.name)[k], getattr(one, f.name)[0]), (k, f.name)
-    retired_in_first_round = np.count_nonzero(res.iters < optimize.HANDOFF_STEPS)
-    assert 40 - retired_in_first_round < 32 and (res.iters > optimize.HANDOFF_STEPS).any()
+    assert (res.iters < optimize.HANDOFF_STEPS).any() and (res.iters > optimize.HANDOFF_STEPS).any()
     assert all(res.polished[group == g].any() for g in (0, 1))
