@@ -33,7 +33,6 @@ from .landscape import (
     canonicalize,
     dense_hessian,
     gradient,
-    hessian_quadratic,
     masked_residual,
     min_hessian_eigen,
     objective,
@@ -92,7 +91,6 @@ __all__ = [
     "canonicalize",
     "dense_hessian",
     "gradient",
-    "hessian_quadratic",
     "masked_residual",
     "min_hessian_eigen",
     "objective",

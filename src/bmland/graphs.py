@@ -30,15 +30,25 @@ def _norm(i: int, j: int) -> Edge:
     return (i, j) if i <= j else (j, i)
 
 
-def gram(X: np.ndarray) -> np.ndarray:
+def gram(X: np.ndarray, bufs: StepBuffers | None = None) -> np.ndarray:
     """X X^T of a (..., n, r) stack, (..., n, n): an elementwise outer
     product at r = 1, otherwise a batched matmul whose right operand is a
     contiguous copy of X^T. A transposed view there is several times slower,
     and at some n its rounding differs from the contiguous form's; the
-    contiguous product has the same bits for a point alone as in a stack."""
+    contiguous product has the same bits for a point alone as in a stack.
+    With ``bufs`` (``StepBuffers``) the product and the copy of X^T are
+    views of its buffers, with the same bits as fresh arrays."""
+    XT = X.swapaxes(-1, -2)
+    out = None if bufs is None else bufs.take("gram", X.shape[:-1] + X.shape[-2:-1])
     if X.shape[-1] == 1:
-        return X * X.swapaxes(-1, -2)
-    return X @ np.ascontiguousarray(X.swapaxes(-1, -2))
+        return np.multiply(X, XT, out=out)
+    if bufs is None:
+        XT = np.ascontiguousarray(XT)
+    else:
+        copy = bufs.take("gram_XT", XT.shape)
+        copy[...] = XT
+        XT = copy
+    return np.matmul(X, XT, out=out)
 
 
 @dataclass(frozen=True)
@@ -88,27 +98,64 @@ class BlockSparsityGraph:
 
 
 class StepBuffers:
-    """Flat float buffers, one per name, that the row-list kernel writes its
+    """Flat float buffers, one per name, that the objective kernel writes its
     per-step arrays into, so that a descent reuses its pages from step to
     step instead of drawing fresh ones. ``take(name, shape)`` views the
     buffer as a contiguous array of ``shape``, growing it first if it is too
-    small; the view holds whatever the buffer's last user left there."""
+    small; the view holds whatever the buffer's last user left there.
+
+    ``plan`` is the row-list kernel's plan for the working set it last saw
+    (``landscape._row_list_terms``): views of these buffers that hold while
+    the working set keeps its shape and target, so that a descent takes its
+    views, zeroes its padding row and lays out its sums once per working
+    set, not once per step."""
 
     def __init__(self):
         self._flat: dict[str, np.ndarray] = {}
-        # The last view of each buffer: a descent asks for the same shapes
-        # until its working set shrinks, and this runs several times a step.
-        self._views: dict[str, np.ndarray] = {}
+        self.plan = None
 
     def take(self, name: str, shape: tuple) -> np.ndarray:
-        view = self._views.get(name)
-        if view is None or view.shape != shape:
-            size = math.prod(shape)
-            flat = self._flat.get(name)
-            if flat is None or flat.size < size:
-                flat = self._flat[name] = np.empty(size)
-            view = self._views[name] = flat[:size].reshape(shape)
-        return view
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+class RowProducts:
+    """The products X_i . X_cols[i, k] of (b, n, r) stacks on Omega's padded
+    row lists, formed in fixed views of ``bufs`` (``StepBuffers``) for one
+    stack shape: calling it with a stack returns the gathered rows Xg,
+    (d, n, r, b) with ``Xg[k, i] = X_cols[i, k]``, and the products P,
+    (d, n, b), with the rank summed in order and 0 on padding entries, both
+    neighbor-major and batch-last. They hold until the next call, or until
+    another user takes the same buffers."""
+
+    def __init__(self, omega: MeasurementSet, shape: tuple, bufs: StepBuffers):
+        b, n, r = shape
+        self.cols_t = omega._lists[1]
+        d = len(self.cols_t)
+        # The transposed stack and a padding row, which calls never write:
+        # it is zeroed here, once for this view.
+        self.Xt = bufs.take("Xt", (n + 1, r, b))
+        self.Xt[n] = 0.0
+        self.rows = self.Xt[:n]
+        self.Xg = bufs.take("Xg", (d, n, r, b))
+        self.P = bufs.take("R", (d, n, b))
+        # The factors of each rank's term, summed in order.
+        ranks = [(self.rows[:, a], self.Xg[:, :, a]) for a in range(r)]
+        self.first, self.rest = ranks[0], ranks[1:]
+        self.term = bufs.take("term", (d, n, b)) if r > 1 else None
+
+    def __call__(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        np.copyto(self.rows, X.transpose(1, 2, 0))
+        # Every index is in range, so "clip" gathers exactly, and unlike the
+        # default "raise" it writes straight into ``out``.
+        self.Xt.take(self.cols_t, axis=0, out=self.Xg, mode="clip")
+        np.multiply(*self.first, out=self.P)
+        for x, g in self.rest:
+            self.P += np.multiply(x, g, out=self.term)
+        return self.Xg, self.P
 
 
 class MeasurementSet:
@@ -117,11 +164,11 @@ class MeasurementSet:
     entries, built from the mask on first use and cached (read-only): row i
     observes the columns ``cols[i, k]`` below n, in increasing order, and
     the (n, d) array is padded to the largest row degree d with column n,
-    which does not exist (``row_products`` reads it as a zero row).
+    which does not exist (``RowProducts`` reads it as a zero row).
 
     ``dense`` (2d > n) says only which arithmetic the objective kernel uses:
     the dense (n, n) products on the mask (``dense_products``), or the row
-    lists (``row_products``). That works neighbor-major and batch-last:
+    lists (``RowProducts``). That works neighbor-major and batch-last:
     entry (i, k) of the lists is element [k, i] of its (d, n, ...) arrays,
     so that slab k holds every row's k-th neighbor, for every point of the
     stack.
@@ -164,7 +211,7 @@ class MeasurementSet:
         # padding entries name column n, which does not exist.
         cols = np.argsort(~observed, axis=1, kind="stable")[:, :d]
         cols = np.where(np.arange(d) < degree[:, None], cols, self.n)
-        # The neighbor-major (d, n) copy that ``row_products`` gathers with.
+        # The neighbor-major (d, n) copy that ``RowProducts`` gathers with.
         cols_t = np.ascontiguousarray(cols.T)
         for a in (cols, cols_t):
             a.setflags(write=False)
@@ -174,43 +221,21 @@ class MeasurementSet:
     def cols(self) -> np.ndarray:
         return self._lists[0]
 
-    @property
+    @cached_property
     def dense(self) -> bool:
         """Whether the kernel forms dense (n, n) products: 2d > n."""
         return 2 * self.cols.shape[1] > self.n
 
-    def dense_products(self, X: np.ndarray) -> np.ndarray:
-        """The products ``gram(X) * mask`` of a (..., n, r) stack, (..., n, n)."""
-        P = gram(X)
+    def dense_products(self, X: np.ndarray, bufs: StepBuffers | None = None) -> np.ndarray:
+        """The products ``gram(X) * mask`` of a (..., n, r) stack, (..., n, n),
+        in a view of ``bufs`` when it is given."""
+        P = gram(X, bufs)
         P *= self._mask
         return P
 
-    def row_products(
-        self, X: np.ndarray, bufs: StepBuffers | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The products X_i . X_cols[i, k] of a (b, n, r) stack on the
-        padded row lists, neighbor-major and batch-last: the gathered rows
-        Xg, (d, n, r, b) with ``Xg[k, i] = X_cols[i, k]``, and the products,
-        (d, n, b), with the rank summed in order and 0 on padding entries.
-        Both are views of ``bufs``, fresh buffers when it is None, and hold
-        until its next use."""
-        bufs = StepBuffers() if bufs is None else bufs
-        b, n, r = X.shape
-        cols_t = self._lists[1]
-        d = len(cols_t)
-        # Xt[:n] is overwritten whole; only the padding row is zeroed.
-        Xt = bufs.take("Xt", (n + 1, r, b))
-        Xt[n] = 0.0
-        Xt[:n] = X.transpose(1, 2, 0)
-        # Every index is in range, so "clip" gathers exactly, and unlike the
-        # default "raise" it writes straight into ``out``.
-        Xg = Xt.take(cols_t, axis=0, out=bufs.take("Xg", (d, n, r, b)), mode="clip")
-        P = np.multiply(Xt[:n, 0], Xg[:, :, 0], out=bufs.take("R", (d, n, b)))
-        if r > 1:
-            term = bufs.take("term", (d, n, b))
-            for a in range(1, r):
-                P += np.multiply(Xt[:n, a], Xg[:, :, a], out=term)
-        return Xg, P
+    def row_products(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``RowProducts`` of one (b, n, r) stack, in fresh buffers."""
+        return RowProducts(self, X.shape, StepBuffers())(X)
 
     def __len__(self):
         return int(np.count_nonzero(self._mask))

@@ -24,11 +24,14 @@ zero. It broadcasts over leading batch axes, so a stack of factors of shape
 ``_value_and_gradient``, which also takes a stack of per-point targets,
 batch-last on the row lists, so one descent can carry the starts of several
 instances over one Omega. Each point's result has the same bits whatever
-stack it is part of. On the row lists the kernel writes its large per-step
-arrays (padded rows, gathered rows, residual) into a caller's
-``StepBuffers``, or into its own when given none; one descent call passes
-one set to every step, so the kernel reuses the same pages from step to
-step.
+stack it is part of. The kernel writes its large per-step arrays (padded
+rows, gathered rows and residual on the row lists; products, residual and
+the copy of X^T where it is dense) into a caller's ``StepBuffers``, or
+into its own when given none. One descent call passes one set to every
+step, so the kernel reuses the same pages from step to step, and on the row
+lists it keeps a plan for each working set in it (``_row_list_terms``):
+its views, its zeroed padding row and the layout of its halving sums are
+made once while the working set keeps its shape and target, not every step.
 ``masked_residual`` and the Hessian routines work on the dense mask;
 ``dense_hessian`` and ``min_hessian_eigen`` take a point or a stack, and a
 point's Hessian has the same bits alone as in a stack.
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .graphs import MeasurementSet, StepBuffers
+from .graphs import MeasurementSet, RowProducts, StepBuffers
 from .instances import McInstance
 
 SIGN_TOL = 1e-9
@@ -81,9 +84,12 @@ def _check_shape(inst: McInstance, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _residual(omega: MeasurementSet, target: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Dense (..., n, n) residual (X X^T) * mask - target."""
-    R = omega.dense_products(X)
+def _residual(
+    omega: MeasurementSet, target: np.ndarray, X: np.ndarray, bufs: StepBuffers | None = None
+) -> np.ndarray:
+    """Dense (..., n, n) residual (X X^T) * mask - target, in a view of
+    ``bufs`` when it is given."""
+    R = omega.dense_products(X, bufs)
     R -= target
     return R
 
@@ -113,9 +119,12 @@ def _value_and_gradient(
     Omega, batch-last on the row lists, (d, n, b), and (b, n, n) where the
     kernel is dense, for the b points of the stack. A point's bits do not
     depend on which of the two forms carries its target, nor on the rest of
-    the stack. ``bufs`` goes to the row-list kernel (``_row_list_terms``)."""
+    the stack. ``bufs`` (``StepBuffers``) holds the kernel's per-step
+    arrays: the residual, the products and the copy of X^T where the kernel
+    is dense, the row-list kernel's plan (``_row_list_terms``) otherwise. The
+    value and gradient come back as fresh arrays."""
     if omega.dense:
-        R = _residual(omega, target, X)
+        R = _residual(omega, target, X, bufs)
         val = np.einsum("...ij,...ij->...", R, R)
         G = R @ X
     else:
@@ -138,50 +147,80 @@ def _row_list_terms(
     O(n d r) per point.
 
     The arithmetic runs neighbor-major and batch-last, on (d, n, b) arrays
-    (``MeasurementSet.row_products``), so that each operation sweeps the
-    stack in long loops even when n and d are small, and the gradient's sum
-    over k adds contiguous (n, r, b) slabs. ``target`` is the (d, n)
+    (``RowProducts``), so that each operation sweeps the stack in long loops
+    even when n and d are small, and the gradient's sum over k adds
+    contiguous (n, r, b) slabs. ``target`` is the (d, n)
     ``observed_targets`` of one instance, or a (d, n, b) stack of them, one
     per point. Each entry of R and of the gradient is an elementwise sum in
-    a fixed order, and the value is the ``_halving_sum`` of a point's n d
-    squares R^2 in (k, i) order, squared in place once the gradient is
-    formed, so a point's bits do not depend on the stack around it.
+    a fixed order, and the value is the halving sum of a point's n d squares
+    R^2 in (k, i) order, squared in place once the gradient is formed, so a
+    point's bits do not depend on the stack around it.
 
-    The padded rows, the gathered rows and the residual are views of
-    ``bufs`` (``StepBuffers``), so a caller that passes one set to every
-    call, as a descent does, reuses their pages; without it the call makes
-    its own. The value and gradient come back as fresh arrays."""
-    bufs = StepBuffers() if bufs is None else bufs
+    The call runs the plan ``bufs.plan`` (``StepBuffers``, a fresh set when
+    it is None), and makes it first when the stack's shape, the target
+    object or Omega differs from the plan's: a descent that passes one set
+    to every call makes one plan per working set and reuses its views and
+    its pages from step to step. The value and gradient come back as fresh
+    arrays."""
     lead, (n, r) = X.shape[:-2], X.shape[-2:]
-    Xg, R = omega.row_products(X.reshape(-1, n, r), bufs)
-    d, b = len(R), R.shape[-1]
-    R -= target[..., None] if target.ndim == 2 else target
-    if d:
-        # Row i of the gradient sums R[i, k] Xg[k, i] over k: the products
-        # are formed in place, then summed by pairwise halving. Nothing reads
-        # R after that, so it is squared in place and summed the same way.
-        Xg *= R[:, :, None]
-        G = _halving_sum(Xg).transpose(2, 0, 1).copy()
-        R *= R
-        val = _halving_sum(R.reshape(d * n, b)).copy()
-    else:
-        G, val = np.zeros((b, n, r)), np.zeros(b)
+    X = X.reshape(-1, n, r)
+    bufs = StepBuffers() if bufs is None else bufs
+    plan = bufs.plan
+    if plan is None or plan.omega is not omega or plan.target is not target or plan.shape != X.shape:
+        plan = bufs.plan = _RowListPlan(omega, target, X.shape, bufs)
+    val, G = plan(X)
     return val.reshape(lead), G.reshape(lead + (n, r))
 
 
-def _halving_sum(A: np.ndarray) -> np.ndarray:
-    """Sum of A over its first, nonempty axis by pairwise halving, in place
-    and in elementwise adds only, so that each entry's bits do not depend on
-    the sizes of the other axes: the row-list kernel's sum of the gradient
-    over a row's neighbors, and of a point's squared residuals. Its error
-    bound is O(eps log L) for L terms, as for numpy's pairwise sum."""
+class _RowListPlan:
+    """``_row_list_terms`` for one working set: the ``RowProducts`` of its
+    shape, the target as the residual subtracts it, and the in-place adds of
+    both halving sums (over k for the gradient, over (k, i) for the value)
+    as pairs of fixed views, all views of ``bufs``."""
+
+    def __init__(self, omega: MeasurementSet, target: np.ndarray, shape: tuple, bufs: StepBuffers):
+        self.omega, self.target, self.shape = omega, target, shape
+        self.products = RowProducts(omega, shape, bufs)
+        Xg, R = self.products.Xg, self.products.P
+        d, n, b = R.shape
+        self.subtrahend = target[..., None] if target.ndim == 2 else target
+        self.weights = R[:, :, None]
+        self.grad_adds, G = _halving_adds(Xg)
+        self.grad = G.transpose(2, 0, 1)
+        self.value_adds, self.value = _halving_adds(R.reshape(d * n, b))
+
+    def __call__(self, X: np.ndarray):
+        Xg, R = self.products(X)
+        R -= self.subtrahend
+        # Row i of the gradient sums R[i, k] Xg[k, i] over k: the products
+        # are formed in place, then summed by pairwise halving. Nothing reads
+        # R after that, so it is squared in place and summed the same way.
+        Xg *= self.weights
+        for dst, src in self.grad_adds:
+            dst += src
+        G = self.grad.copy()
+        R *= R
+        for dst, src in self.value_adds:
+            dst += src
+        return self.value.copy(), G
+
+
+def _halving_adds(A: np.ndarray):
+    """The sum of A over its first axis by pairwise halving, laid out once
+    for A's buffer: the (dst, src) view pairs whose in-place adds
+    ``dst += src``, made in order, leave the sum in the returned view A[0]
+    (zeros when the axis is empty). They are elementwise adds only, so each entry's bits do not depend on the
+    sizes of the other axes: the row-list kernel's sum of the gradient over a
+    row's neighbors, and of a point's squared residuals. Its error bound is
+    O(eps log L) for L terms, as for numpy's pairwise sum."""
+    adds = []
     while len(A) > 1:
         h, odd = divmod(len(A), 2)
-        A[:h] += A[h : 2 * h]
+        adds.append((A[:h], A[h : 2 * h]))
         if odd:
-            A[h - 1] += A[-1]
+            adds.append((A[h - 1], A[-1]))
         A = A[:h]
-    return A[0]
+    return adds, A[0] if len(A) else np.zeros(A.shape[1:])
 
 
 def objective(inst: McInstance, loss: LossSpec, X: np.ndarray):
@@ -190,32 +229,6 @@ def objective(inst: McInstance, loss: LossSpec, X: np.ndarray):
 
 def gradient(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray:
     return value_and_gradient(inst, loss, X)[1]
-
-
-def hessian_quadratic(
-    inst: McInstance, loss: LossSpec, X: np.ndarray, delta: np.ndarray
-) -> float:
-    """Exact quadratic form of the Hessian at X along delta."""
-    X = _check_shape(inst, X)
-    D = _check_shape(inst, delta)
-    W = inst.omega.mask()
-    R = masked_residual(inst, X)
-    S = (X @ D.T + D @ X.T) * W
-    val = 4.0 * np.sum(R * (D @ D.T)) + 2.0 * np.sum(S * S)
-    if loss.regularized:
-        # Only the rows with ||X_i|| > alpha, so that no zero row is divided by.
-        t = np.linalg.norm(X, axis=-1)
-        active = t > loss.alpha
-        t, x, d = t[active], X[active], D[active]
-        excess = t - loss.alpha
-        xd = np.sum(x * d, axis=-1)
-        dd = np.sum(d * d, axis=-1)
-        row_quad = 4.0 * loss.lam * (
-            3.0 * excess**2 * xd**2 / t**2
-            + excess**3 * (dd / t - xd**2 / t**3)
-        )
-        val += float(np.sum(row_quad))
-    return float(val)
 
 
 def dense_hessian(inst: McInstance, loss: LossSpec, X: np.ndarray) -> np.ndarray:

@@ -14,15 +14,19 @@ kernel's batch-last layout once per working set, not every step.
 
 ``run_batch_chunked`` is the entry point: it flattens its stack once
 (``_stack``) into instances, starts and each start's instance index, hands
-each chunk its rows and the instances they use, and runs the chunks in
-forked worker processes; a chunk's rows are capped so that one (rows, n, d)
-temporary of the kernel, d the width of Omega's row lists (n where the
-kernel forms dense products), stays within a fixed byte budget.
+each chunk its rows and the instances they use, and runs the chunks in the
+process's worker pool (``_pool``), forked on the first pooled call and kept
+across calls until it must change or the interpreter exits, so its workers
+see this module as it was when the pool started; a chunk's rows are capped
+so that one (rows, n, d) temporary of the kernel, d the width of Omega's
+row lists (n where the kernel forms dense products), stays within a fixed
+byte budget.
 ``_descend``, the one driver, descends a chunk: it resolves each instance's
 target and tolerances once, and one call owns the kernel's step buffers
-(``StepBuffers``) and reuses them every step. With ``polish``, it descends
-in rounds: the starts still running after ``HANDOFF_STEPS``, then twice as
-many steps, and so on, are polished by ``newton_refine`` between rounds: a
+(``StepBuffers``), which hold the row-list kernel's plan for each working
+set, and reuses them every step. With ``polish``, it descends in rounds:
+the starts still running after ``HANDOFF_STEPS``, then twice as many
+steps, and so on, are polished by ``newton_refine`` between rounds: a
 start whose polish reaches its ``grad_tol`` ends ``Converged`` there, and
 one the polish brings lower without reaching it resumes from the polished
 point while that stays within its divergence bound. Per-sample arithmetic
@@ -42,9 +46,11 @@ batched ``eigh``.
 
 from __future__ import annotations
 
+import atexit
 import enum
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
@@ -228,7 +234,6 @@ def descend_batch(
     iters = np.full(B, max_iters, dtype=int)
     status = np.empty(B, dtype=object)
     status[:] = Status.MAX_ITERS
-    cap = STEP_GROWTH_CAP * steps0
 
     # The working set: input indices of the samples still running, and their
     # state. Its counters are stamps, the iteration that last reset each one,
@@ -239,7 +244,7 @@ def descend_batch(
     idx = np.arange(B)
     X = X0.copy()
     f, G = value_and_grad(X, idx)
-    steps = steps0.copy()
+    steps, cap = steps0.copy(), STEP_GROWTH_CAP * steps0
     tol = np.full(B, grad_tol, dtype=float)
     bound = np.full(B, divergence_bound, dtype=float)
     grown_at = np.full(B, -1)
@@ -248,14 +253,17 @@ def descend_batch(
     def retire(out, taken):
         """Write out the samples flagged in ``out``, after ``taken`` steps, and
         drop them from the working set."""
-        nonlocal idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at
+        nonlocal idx, X, f, G, gn, steps, cap, tol, bound, grown_at, improved_at
         d = idx[out]
         points[d], values[d], grad_norms[d], iters[d] = X[out], f[out], gn[out], taken
         keep = np.flatnonzero(~out)
-        idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at = (
-            a.take(keep, axis=0) for a in (idx, X, f, G, gn, steps, tol, bound, grown_at, improved_at)
+        idx, X, f, G, gn, steps, cap, tol, bound, grown_at, improved_at = (
+            a.take(keep, axis=0)
+            for a in (idx, X, f, G, gn, steps, cap, tol, bound, grown_at, improved_at)
         )
 
+    # Most steps reject or grow the step of some sample, so each does it in
+    # elementwise ops masked by ``where``, not by fancy indexing.
     for it in range(max_iters):
         gn = np.sqrt(_sq_norms(G))
         done = gn <= tol
@@ -269,12 +277,15 @@ def descend_batch(
         np.subtract(X, Xnew, out=Xnew)
         fnew, Gnew = value_and_grad(Xnew, idx)
         # Written so that a NaN value is rejected too.
-        increased = ~(fnew <= f)
-        rejected = np.count_nonzero(increased)
+        ok = fnew <= f
+        rejected = np.count_nonzero(ok) < ok.size
         if rejected:
-            # A rejected sample keeps its state: only its rows are copied.
-            for new, old in ((Xnew, X), (fnew, f), (Gnew, G)):
-                new[increased] = old[increased]
+            # A rejected sample keeps its state and halves its step.
+            increased = ~ok
+            rows = increased[:, None, None]
+            np.copyto(Xnew, X, where=rows)
+            np.copyto(fnew, f, where=increased)
+            np.copyto(Gnew, G, where=rows)
             np.multiply(steps, 0.5, out=steps, where=increased)
             np.copyto(grown_at, it, where=increased)
         # Once the value stops strictly decreasing for a long stretch, the
@@ -287,12 +298,12 @@ def descend_batch(
         # A sample whose step was rejected has just reset grown_at.
         grow = grown_at <= it - STEP_GROWTH_EVERY
         if np.count_nonzero(grow):
-            steps[grow] = np.minimum(steps[grow] * STEP_GROWTH, cap[idx[grow]])
-            grown_at[grow] = it
+            np.minimum(steps * STEP_GROWTH, cap, out=steps, where=grow)
+            np.copyto(grown_at, it, where=grow)
 
         diverged = np.sqrt(_sq_norms(X)) > bound
         if rejected:
-            diverged &= ~increased
+            diverged &= ok
         out = stalled | diverged
         if np.count_nonzero(out):
             # A stalled or diverged sample keeps the gradient norm measured
@@ -448,9 +459,8 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = 
     With ``polish``, each chunk descends in polished rounds (``_descend``).
 
     One chunk, or ``threads=1``, runs in this process. Otherwise the chunks
-    go to a pool of ``min(threads, chunks)`` processes started with ``fork``
-    (Linux and macOS), which look ``_descend`` up in this module as the
-    parent left it, and an error raised in a worker is raised here."""
+    go to the process's pool of ``threads`` workers (``_pool``), and an
+    error raised in a worker is raised here once every chunk has ended."""
     insts, X0, group = _stack(insts, X0)
     omega = insts[0].omega
     width = omega.n if omega.dense else omega.cols.shape[1]
@@ -464,14 +474,51 @@ def run_batch_chunked(insts, loss, X0, cfg, threads: int = 1, *, polish: bool = 
     if threads <= 1 or len(chunks) == 1:
         parts = [_descend(*c, loss, cfg, polish) for c in chunks]
     else:
-        with ProcessPoolExecutor(
-            max_workers=min(threads, len(chunks)), mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            futures = [pool.submit(_descend, *c, loss, cfg, polish) for c in chunks]
-            parts = [fut.result() for fut in futures]
+        pool = _pool(threads)
+        futures = [pool.submit(_descend, *c, loss, cfg, polish) for c in chunks]
+        wait(futures)
+        parts = [fut.result() for fut in futures]
     return BatchResult(
         *(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(BatchResult))
     )
+
+
+# The process's worker pool: (executor, workers, pid of the process that
+# started it), or None before the first pooled call.
+_POOL = None
+
+
+def _pool(threads: int) -> ProcessPoolExecutor:
+    """The pool that ``run_batch_chunked`` sends chunks to: ``threads``
+    processes started with ``fork`` (Linux and macOS) on the first pooled
+    call and kept for later ones, so that a census, sweep or metric pays the
+    fork once per process, not once per call. Its workers see this module
+    as it was when the pool started, not as a later call finds it. A pool
+    that is broken (a worker died) or of another size is shut down and a new
+    one started; a process forked from the one that started the pool starts
+    its own and leaves its parent's alone. The pool is shut down at
+    interpreter exit."""
+    global _POOL
+    if _POOL is not None:
+        pool, workers, pid = _POOL
+        if pid == os.getpid():
+            # ``_broken`` is the executor's own flag, set once a worker dies.
+            if workers == threads and not pool._broken:
+                return pool
+            pool.shutdown()
+    pool = ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"))
+    _POOL = (pool, threads, os.getpid())
+    return pool
+
+
+@atexit.register
+def _shutdown_pool():
+    """Shut down this process's pool, if it started one; the next pooled
+    call starts a new one."""
+    global _POOL
+    if _POOL is not None and _POOL[2] == os.getpid():
+        _POOL[0].shutdown()
+    _POOL = None
 
 
 def _damped_newton(value_and_grad, curvature, X: np.ndarray, start, tol, max_steps: int):

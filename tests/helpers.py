@@ -4,6 +4,7 @@ import numpy as np
 
 import bmland
 from bmland import LossSpec
+from bmland.landscape import _check_shape
 
 
 def path_instance(n, gamma=0.0, seed=0):
@@ -52,6 +53,32 @@ def random_instance(rng, n_max=30):
     omega = bmland.induce_measurement_set(g, n, r)
     x_star = bmland.random_block_factor(m, r, seed=int(rng.integers(1 << 31)), n=n)
     return bmland.assemble_instance(x_star, omega, g, s)
+
+
+def hessian_quadratic(inst, loss, X, delta):
+    """Exact quadratic form of the Hessian at X along delta, written out on
+    the dense mask: an independent check of ``bmland.dense_hessian`` and of
+    finite differences of the objective."""
+    X = _check_shape(inst, X)
+    D = _check_shape(inst, delta)
+    W = inst.omega.mask()
+    R = bmland.masked_residual(inst, X)
+    S = (X @ D.T + D @ X.T) * W
+    val = 4.0 * np.sum(R * (D @ D.T)) + 2.0 * np.sum(S * S)
+    if loss.regularized:
+        # Only the rows with ||X_i|| > alpha, so that no zero row is divided by.
+        t = np.linalg.norm(X, axis=-1)
+        active = t > loss.alpha
+        t, x, d = t[active], X[active], D[active]
+        excess = t - loss.alpha
+        xd = np.sum(x * d, axis=-1)
+        dd = np.sum(d * d, axis=-1)
+        row_quad = 4.0 * loss.lam * (
+            3.0 * excess**2 * xd**2 / t**2
+            + excess**3 * (dd / t - xd**2 / t**3)
+        )
+        val += float(np.sum(row_quad))
+    return float(val)
 
 
 L2 = LossSpec.l2()

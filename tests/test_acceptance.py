@@ -61,7 +61,7 @@ def test_criterion_01_derivative_correctness():
                 - 2 * bmland.objective(inst, loss, X)
                 + bmland.objective(inst, loss, X - h2 * d)
             ) / (h2 * h2)
-            quad = bmland.hessian_quadratic(inst, loss, X, d)
+            quad = helpers.hessian_quadratic(inst, loss, X, d)
             worst_h = max(worst_h, abs(sd - quad) / max(abs(quad), 1e-4))
         assert worst_g <= 1e-6, f"gradient FD mismatch {worst_g:.3e}"
         assert worst_h <= 1e-5, f"Hessian FD mismatch {worst_h:.3e}"

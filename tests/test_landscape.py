@@ -241,8 +241,10 @@ def test_kernel_point_bits_same_in_stacks_of_any_size(name, r):
 @pytest.mark.parametrize("r", [1, 3])
 @pytest.mark.parametrize("name", ["path-sparse", "er-sparse"])
 def test_kernel_step_buffers_reuse(name, r):
-    # One buffer set through a working set that keeps its size, shrinks, then
-    # grows past its first size, as a single-target and as a mixed-target stack.
+    # One buffer set, and the kernel's plan in it, through a working set that
+    # keeps its size, with the same and then another target, shrinks, grows
+    # back to a size it had, then past its first size, as a single-target and
+    # as a mixed-target stack.
     from bmland.graphs import StepBuffers
     from bmland.landscape import _value_and_gradient
 
@@ -251,8 +253,12 @@ def test_kernel_step_buffers_reuse(name, r):
     X = np.random.default_rng(4).standard_normal((40, inst.n, inst.r))
     for mixed in (False, True):
         bufs, kept = StepBuffers(), []
-        for b in (24, 24, 17, 5, 1, 9, 40, 40):
-            target = _target_stack((inst, other), np.arange(b) % 2) if mixed else inst.observed_targets()
+        for j, b in enumerate((24, 24, 24, 17, 5, 1, 9, 17, 24, 40, 40)):
+            swap = j % 3 == 2
+            if mixed:
+                target = _target_stack((inst, other), (np.arange(b) + swap) % 2)
+            else:
+                target = (other if swap else inst).observed_targets()
             out = _value_and_gradient(inst.omega, target, L2, X[:b], bufs)
             fresh = _value_and_gradient(inst.omega, target, L2, X[:b])
             assert np.array_equal(out[0], fresh[0]) and np.array_equal(out[1], fresh[1])
@@ -289,9 +295,9 @@ def test_hessian_quadratic_known_values():
     x_min = inst.x_star  # (1,0,1,0)
     e4 = np.zeros((4, 1))
     e4[3, 0] = 1.0
-    assert bmland.hessian_quadratic(inst, L2, x_min, e4) == pytest.approx(4.0)
+    assert helpers.hessian_quadratic(inst, L2, x_min, e4) == pytest.approx(4.0)
     zero = np.zeros((4, 1))
-    assert bmland.hessian_quadratic(inst, L2, zero, x_min) == pytest.approx(-8.0)
+    assert helpers.hessian_quadratic(inst, L2, zero, x_min) == pytest.approx(-8.0)
 
 
 def test_dense_hessian_matches_quadratic_form():
@@ -308,7 +314,7 @@ def test_dense_hessian_matches_quadratic_form():
             for _ in range(5):
                 d = rng.standard_normal(x.shape)
                 quad = float(d.reshape(-1) @ H @ d.reshape(-1))
-                quad_form = bmland.hessian_quadratic(inst, loss, x, d)
+                quad_form = helpers.hessian_quadratic(inst, loss, x, d)
                 assert abs(quad - quad_form) <= 1e-10 * max(abs(quad), 1.0)
 
 

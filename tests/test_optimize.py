@@ -1,6 +1,13 @@
 import dataclasses
+import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,12 +399,103 @@ def test_worker_error_reaches_caller_with_its_type(monkeypatch):
             raise ValidationError("threads", "must be >= 1")
         return descend(*args)
 
-    # A forked worker looks ``descend_batch`` up when its chunk calls it.
+    # Workers see this module as it was when their pool started, so the
+    # patch goes in first and the call below starts a fresh pool.
     monkeypatch.setattr(optimize, "descend_batch", failing_in_worker)
+    optimize._shutdown_pool()
     with pytest.raises(ValidationError) as info:
         run_batch_chunked(inst, L2, X0, GdConfig(), threads=2)
     assert info.value.field == "threads"
     assert str(info.value) == "config field 'threads': must be >= 1"
+
+
+def _pooled_call_args(monkeypatch):
+    """A descent of 64 starts in 4 chunks, which ``threads=2`` pools."""
+    monkeypatch.setattr(optimize, "CHUNK_ROWS", 16)
+    inst = helpers.path_instance(4)
+    return inst, L2, bmland.sample_radial_init("gaussian", 4, 1, seed=2, size=64), GdConfig()
+
+
+def test_pooled_calls_share_one_pool(monkeypatch):
+    args = _pooled_call_args(monkeypatch)
+    first = run_batch_chunked(*args, threads=2)
+    workers = {p.pid for p in multiprocessing.active_children()}
+    assert len(workers) == 2
+    second = run_batch_chunked(*args, threads=2)
+    assert {p.pid for p in multiprocessing.active_children()} == workers
+    for field in dataclasses.fields(first):
+        assert np.array_equal(getattr(first, field.name), getattr(second, field.name))
+    # Another thread count starts a pool of that size in place of this one.
+    run_batch_chunked(*args, threads=3)
+    third = {p.pid for p in multiprocessing.active_children()}
+    assert len(third) == 3 and not third & workers
+
+
+def test_broken_pool_is_replaced(monkeypatch):
+    args = _pooled_call_args(monkeypatch)
+    want = run_batch_chunked(*args, threads=2)
+    pool = optimize._POOL[0]
+    os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert pool._broken
+    got = run_batch_chunked(*args, threads=2)
+    assert optimize._POOL[0] is not pool
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(want, field.name), getattr(got, field.name))
+
+
+def test_forked_child_starts_its_own_pool(monkeypatch):
+    args = _pooled_call_args(monkeypatch)
+    want = run_batch_chunked(*args, threads=2)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The parent's executor has no manager thread here: a call sent to
+        # it would never return.
+        try:
+            os.close(read)
+            got = run_batch_chunked(*args, threads=2)
+            same = all(np.array_equal(getattr(got, f.name), getattr(want, f.name)) for f in dataclasses.fields(got))
+            optimize._shutdown_pool()
+            os.write(write, b"1" if same else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    ready = []
+    try:
+        ready = select.select([read], [], [], 60)[0]
+        reply = os.read(read, 1) if ready else b""
+    finally:
+        if not ready:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        os.close(read)
+    assert ready and reply == b"1"
+
+
+def test_process_with_a_pool_leaves_no_child_behind():
+    # Every process forked from the child holds the pipe's write end, so the
+    # read end sees EOF only once the child and all its workers have exited.
+    read, write = os.pipe()
+    code = (
+        "import bmland, helpers\n"
+        "inst = helpers.star_rank2_instance()\n"
+        "report = bmland.multistart_census(inst, helpers.L2, 300, seed=1, cfg=bmland.GdConfig(max_iters=600), threads=2)\n"
+        "assert report.n_starts == 300\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(bmland.__file__).parents[1]), str(Path(__file__).parent)]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", code], env=env, pass_fds=(write,), timeout=120)
+    finally:
+        os.close(write)
+    try:
+        ready = select.select([read], [], [], 30)[0]
+        assert ready and os.read(read, 1) == b""
+    finally:
+        os.close(read)
+    assert proc.returncode == 0
 
 
 def test_newton_refine_polishes_gd_endpoint():
